@@ -1,0 +1,262 @@
+"""Run configuration: defaults, plain-text config files, scenario assembly.
+
+Config files are INI-style with one section per concern:
+
+    [run]       seed, out_dir
+    [scenario]  users, native_rate, joint_count, frame_count, budget, pool,
+                profiles, selection_mode, render_method
+    [dqn]       episodes, steps_per_episode, batch_size, buffer_capacity,
+                hidden_sizes, discount, learning_rate, epsilon_start,
+                epsilon_end, epsilon_decay, target_sync, reward_mode,
+                reward_scale
+    [codec]     lo, hi, image_width, image_height, image_bits
+    [search]    step, effort_cap
+
+Every key is optional and falls back to the defaults below; unknown sections
+or keys are rejected rather than ignored.
+"""
+
+from __future__ import annotations
+
+import configparser
+import zlib
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from .contest import SELECTION_MODES, ContestantState, AwardSetting, ScenarioConfig
+from .dqn import DqnConfig
+from .skeleton import DEFAULT_PROFILES, QuantBounds, generate_synthetic, get_profile
+
+RENDER_METHODS = ("hold", "linear")
+
+
+class ConfigError(ValueError):
+    """A run configuration is malformed or inconsistent."""
+
+
+@dataclass
+class RunConfig:
+    """Everything one CLI invocation needs, resolvable to a scenario."""
+
+    seed: int = 0
+    out_dir: str = "out"
+    users: int = 4
+    native_rate: int = 60
+    joint_count: int = 17
+    frame_count: int = 300
+    budget: int = 120
+    pool: float = 100.0
+    profiles: tuple[str, ...] = ("run", "dance", "wave", "stand")
+    selection_mode: str = "net"
+    render_method: str = "hold"
+    dqn: DqnConfig = field(default_factory=DqnConfig)
+    bounds: QuantBounds = field(default_factory=QuantBounds)
+    image_width: int = 1080
+    image_height: int = 1908
+    image_bits: int = 32
+    search_step: float = 5.0
+    effort_cap: int = 10_000_000
+
+    def __post_init__(self):
+        if self.users < 1:
+            raise ConfigError("users must be at least 1")
+        if self.native_rate < 1:
+            raise ConfigError("native_rate must be at least 1")
+        if self.joint_count < 1:
+            raise ConfigError("joint_count must be at least 1")
+        if self.frame_count < 1:
+            raise ConfigError("frame_count must be at least 1")
+        if self.budget < 1:
+            raise ConfigError("budget must be at least 1")
+        if self.pool <= 0:
+            raise ConfigError("pool must be positive")
+        if len(self.profiles) != self.users:
+            raise ConfigError(
+                f"profiles lists {len(self.profiles)} entries for {self.users} users"
+            )
+        for kind in self.profiles:
+            if kind not in DEFAULT_PROFILES:
+                available = ", ".join(sorted(DEFAULT_PROFILES))
+                raise ConfigError(f"unknown profile {kind!r}; available: {available}")
+        if self.selection_mode not in SELECTION_MODES:
+            raise ConfigError(
+                f"unknown selection_mode {self.selection_mode!r}; expected one of {SELECTION_MODES}"
+            )
+        if self.render_method not in RENDER_METHODS:
+            raise ConfigError(
+                f"unknown render_method {self.render_method!r}; expected one of {RENDER_METHODS}"
+            )
+        if self.image_width < 1 or self.image_height < 1 or self.image_bits < 1:
+            raise ConfigError("image dimensions must be positive")
+        if self.search_step <= 0:
+            raise ConfigError("search step must be positive")
+        if self.effort_cap < 1:
+            raise ConfigError("effort_cap must be at least 1")
+
+    def dqn_config(self) -> DqnConfig:
+        """The DQN settings with the run seed threaded through."""
+        return replace(self.dqn, seed=self.seed)
+
+
+def data_seed(seed: int, index: int) -> int:
+    """Per-user generator seed, derived from the run seed's data substream."""
+    ss = np.random.SeedSequence((seed, zlib.crc32(b"data"), index))
+    return int(ss.generate_state(1)[0])
+
+
+def build_contestants(cfg: RunConfig) -> list[ContestantState]:
+    """Generate each user's clip and derive their contest state."""
+    contestants = []
+    for i, kind in enumerate(cfg.profiles):
+        seq = generate_synthetic(
+            get_profile(kind),
+            cfg.frame_count,
+            cfg.native_rate,
+            cfg.joint_count,
+            seed=data_seed(cfg.seed, i),
+        )
+        contestants.append(ContestantState.from_sequence(i + 1, seq, cfg.render_method))
+    return contestants
+
+
+def build_scenario(cfg: RunConfig) -> ScenarioConfig:
+    """Assemble the contest instance this config describes, starting from an
+    equal prize split."""
+    share = cfg.pool / cfg.users
+    return ScenarioConfig(
+        contestants=build_contestants(cfg),
+        budget=cfg.budget,
+        awards=AwardSetting((share,) * cfg.users),
+        selection_mode=cfg.selection_mode,
+    )
+
+
+def _to_int(raw: str) -> int:
+    return int(raw.strip())
+
+
+def _to_float(raw: str) -> float:
+    return float(raw.strip())
+
+
+def _to_str(raw: str) -> str:
+    return raw.strip()
+
+
+def _to_str_tuple(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+def _to_int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+
+
+# section -> key -> (parser, assignment target)
+_SCHEMA = {
+    "run": {
+        "seed": _to_int,
+        "out_dir": _to_str,
+    },
+    "scenario": {
+        "users": _to_int,
+        "native_rate": _to_int,
+        "joint_count": _to_int,
+        "frame_count": _to_int,
+        "budget": _to_int,
+        "pool": _to_float,
+        "profiles": _to_str_tuple,
+        "selection_mode": _to_str,
+        "render_method": _to_str,
+    },
+    "dqn": {
+        "episodes": _to_int,
+        "steps_per_episode": _to_int,
+        "batch_size": _to_int,
+        "buffer_capacity": _to_int,
+        "hidden_sizes": _to_int_tuple,
+        "discount": _to_float,
+        "learning_rate": _to_float,
+        "epsilon_start": _to_float,
+        "epsilon_end": _to_float,
+        "epsilon_decay": _to_float,
+        "target_sync": _to_int,
+        "reward_mode": _to_str,
+        "reward_scale": _to_float,
+    },
+    "codec": {
+        "lo": _to_float,
+        "hi": _to_float,
+        "image_width": _to_int,
+        "image_height": _to_int,
+        "image_bits": _to_int,
+    },
+    "search": {
+        "step": _to_float,
+        "effort_cap": _to_int,
+    },
+}
+
+# config key -> RunConfig field, where the names differ
+_FIELD_ALIASES = {
+    ("search", "step"): "search_step",
+}
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse config file text into a validated RunConfig.
+
+    Raises:
+        ConfigError: on syntax errors, unknown sections or keys, bad value
+            types, or inconsistent values.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config syntax error: {exc}") from None
+
+    values: dict[str, object] = {}
+    dqn_values: dict[str, object] = {}
+    codec_values: dict[str, object] = {}
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            known = ", ".join(sorted(_SCHEMA))
+            raise ConfigError(f"unknown config section [{section}]; known sections: {known}")
+        for key, raw in parser.items(section):
+            if key not in _SCHEMA[section]:
+                known = ", ".join(sorted(_SCHEMA[section]))
+                raise ConfigError(
+                    f"unknown key {key!r} in section [{section}]; known keys: {known}"
+                )
+            try:
+                value = _SCHEMA[section][key](raw)
+            except ValueError:
+                raise ConfigError(
+                    f"bad value for {key!r} in section [{section}]: {raw!r}"
+                ) from None
+            if section == "dqn":
+                dqn_values[key] = value
+            elif section == "codec" and key in ("lo", "hi"):
+                codec_values[key] = value
+            else:
+                values[_FIELD_ALIASES.get((section, key), key)] = value
+
+    try:
+        dqn = DqnConfig(**dqn_values)
+        bounds = QuantBounds(**codec_values)
+        return RunConfig(dqn=dqn, bounds=bounds, **values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def read_config_file(path: str) -> RunConfig:
+    """Load and parse a config file from disk."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+    return parse_config(text)

@@ -1,0 +1,536 @@
+"""Skeleton keypoint sequences: synthesis, serialization, down-sampling, codec.
+
+A tracked body is a fixed set of 3-D keypoints sampled at a native capture
+rate.  A sender that uploads only every n-th frame forces the receiver to
+render the avatar from stale keypoints; the quality gap is measured here as a
+root-mean-square loss over the whole clip.  Frames can also be packed into a
+compact one-byte-per-axis payload for transmission.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+# COCO-style 17 keypoint convention, index order is load-bearing for the
+# default profiles below.
+JOINT_NAMES = [
+    "nose",
+    "left_eye",
+    "right_eye",
+    "left_ear",
+    "right_ear",
+    "left_shoulder",
+    "right_shoulder",
+    "left_elbow",
+    "right_elbow",
+    "left_wrist",
+    "right_wrist",
+    "left_hip",
+    "right_hip",
+    "left_knee",
+    "right_knee",
+    "left_ankle",
+    "right_ankle",
+]
+JOINT_COUNT = len(JOINT_NAMES)
+ARM_JOINTS = (5, 6, 7, 8, 9, 10)
+
+AXES = 3
+
+# Canonical standing pose in metres, pelvis midpoint at the origin, z up.
+_BASE_POSE_17 = np.array(
+    [
+        [0.000, 0.080, 0.750],
+        [0.035, 0.100, 0.780],
+        [-0.035, 0.100, 0.780],
+        [0.080, 0.030, 0.770],
+        [-0.080, 0.030, 0.770],
+        [0.200, 0.000, 0.550],
+        [-0.200, 0.000, 0.550],
+        [0.250, 0.000, 0.300],
+        [-0.250, 0.000, 0.300],
+        [0.270, 0.020, 0.050],
+        [-0.270, 0.020, 0.050],
+        [0.110, 0.000, 0.000],
+        [-0.110, 0.000, 0.000],
+        [0.120, 0.010, -0.450],
+        [-0.120, 0.010, -0.450],
+        [0.130, -0.020, -0.900],
+        [-0.130, -0.020, -0.900],
+    ]
+)
+
+
+class SequenceFormatError(ValueError):
+    """Serialized sequence data violates the expected layout."""
+
+
+@dataclass(frozen=True)
+class Keypoint3:
+    """One 3-D body keypoint in metres."""
+
+    x: float
+    y: float
+    z: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+            raise ValueError("keypoint components must be finite")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.x, self.y, self.z], dtype=np.float64)
+
+
+@dataclass(eq=False)
+class SkeletonFrame:
+    """All keypoints of one captured frame, shape (joint_count, 3)."""
+
+    coords: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.coords, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != AXES:
+            raise ValueError(f"frame coords must have shape (joints, 3), got {arr.shape}")
+        if arr.shape[0] < 1:
+            raise ValueError("frame must contain at least one joint")
+        if not np.isfinite(arr).all():
+            raise ValueError("frame coords must be finite")
+        self.coords = arr
+
+    @property
+    def joint_count(self) -> int:
+        return self.coords.shape[0]
+
+    def keypoint(self, joint: int) -> Keypoint3:
+        x, y, z = self.coords[joint]
+        return Keypoint3(float(x), float(y), float(z))
+
+
+@dataclass(eq=False)
+class SkeletonSequence:
+    """A clip of skeleton frames captured at a fixed native rate.
+
+    Attributes:
+        coords: float64 array of shape (frame_count, joint_count, 3).
+        native_rate: capture rate in frames per second, at least 1.
+        user_label: free-form origin tag, e.g. the motion profile name.
+    """
+
+    coords: np.ndarray
+    native_rate: int
+    user_label: str = ""
+
+    def __post_init__(self):
+        arr = np.asarray(self.coords, dtype=np.float64)
+        if arr.ndim != 3 or arr.shape[2] != AXES:
+            raise ValueError(f"sequence coords must have shape (frames, joints, 3), got {arr.shape}")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError("sequence needs at least one frame and one joint")
+        if not np.isfinite(arr).all():
+            raise ValueError("sequence coords must be finite")
+        if not isinstance(self.native_rate, (int, np.integer)) or self.native_rate < 1:
+            raise ValueError(f"native_rate must be a positive integer, got {self.native_rate!r}")
+        self.coords = arr
+        self.native_rate = int(self.native_rate)
+
+    @property
+    def frame_count(self) -> int:
+        return self.coords.shape[0]
+
+    @property
+    def joint_count(self) -> int:
+        return self.coords.shape[1]
+
+    def frame(self, index: int) -> SkeletonFrame:
+        return SkeletonFrame(self.coords[index].copy())
+
+
+@dataclass(frozen=True)
+class MotionProfile:
+    """Parameters of a synthetic oscillating motion.
+
+    Attributes:
+        kind: profile name, e.g. "run".
+        amplitude: peak joint displacement from the base pose in metres.
+        temporal_frequency: dominant oscillation rate in Hz.
+        active_joints: indices of joints that move; the rest hold the base pose.
+    """
+
+    kind: str
+    amplitude: float
+    temporal_frequency: float
+    active_joints: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.kind:
+            raise ValueError("profile kind must be non-empty")
+        if not math.isfinite(self.amplitude) or self.amplitude < 0:
+            raise ValueError("amplitude must be finite and non-negative")
+        if not math.isfinite(self.temporal_frequency) or self.temporal_frequency <= 0:
+            raise ValueError("temporal_frequency must be finite and positive")
+        if len(self.active_joints) == 0:
+            raise ValueError("active_joints must be non-empty")
+        if len(set(self.active_joints)) != len(self.active_joints):
+            raise ValueError("active_joints must be unique")
+        if any(j < 0 for j in self.active_joints):
+            raise ValueError("active_joints must be non-negative indices")
+
+
+# Amplitudes and frequencies are calibrated so that mean per-frame motion and
+# full-hold loss both order run > dance > wave > stand, and so that losses stay
+# material at half the native rate (fast motions alias under frame holding).
+DEFAULT_PROFILES = {
+    "run": MotionProfile("run", 1.0, 14.0, tuple(range(JOINT_COUNT))),
+    "dance": MotionProfile("dance", 0.7, 11.0, tuple(range(JOINT_COUNT))),
+    "wave": MotionProfile("wave", 0.15, 1.0, ARM_JOINTS),
+    "stand": MotionProfile("stand", 0.005, 0.5, tuple(range(JOINT_COUNT))),
+}
+
+
+def get_profile(kind: str) -> MotionProfile:
+    """Look up a built-in motion profile by name."""
+    if kind not in DEFAULT_PROFILES:
+        available = ", ".join(sorted(DEFAULT_PROFILES))
+        raise ValueError(f"unknown motion profile {kind!r}; available: {available}")
+    return DEFAULT_PROFILES[kind]
+
+
+def base_pose(joint_count: int) -> np.ndarray:
+    """Return the canonical rest pose for a body with joint_count keypoints."""
+    if joint_count < 1:
+        raise ValueError("joint_count must be at least 1")
+    if joint_count == JOINT_COUNT:
+        return _BASE_POSE_17.copy()
+    # No anatomical convention for other sizes: space joints on a vertical line.
+    pose = np.zeros((joint_count, AXES))
+    pose[:, 2] = np.linspace(-0.9, 0.9, joint_count)
+    return pose
+
+
+def generate_synthetic(
+    profile: MotionProfile,
+    frame_count: int,
+    native_rate: int,
+    joint_count: int = JOINT_COUNT,
+    seed: int = 0,
+) -> SkeletonSequence:
+    """Synthesize a deterministic keypoint clip for one motion profile.
+
+    Each active joint j oscillates around the base pose along a fixed random
+    unit direction u_j with a random phase:
+
+        position(i, j) = base_pose[j] + amplitude * sin(2*pi*freq*i/rate + phase_j) * u_j
+
+    with i counted from zero.  Inactive joints stay at the base pose.  The same
+    (profile, frame_count, native_rate, joint_count, seed) always produces the
+    identical array.
+
+    Args:
+        profile: motion parameters.
+        frame_count: number of frames, at least 1.
+        native_rate: capture rate in frames per second, at least 1.
+        joint_count: number of keypoints per frame.
+        seed: RNG seed for phases and directions.
+
+    Returns:
+        The generated sequence, labelled with the profile kind.
+
+    Raises:
+        ValueError: on non-positive sizes or when no active joint index is
+            within range for joint_count.
+    """
+    if frame_count < 1:
+        raise ValueError("frame_count must be at least 1")
+    if native_rate < 1:
+        raise ValueError("native_rate must be at least 1")
+    if joint_count < 1:
+        raise ValueError("joint_count must be at least 1")
+    active = [j for j in profile.active_joints if j < joint_count]
+    if not active:
+        raise ValueError(
+            f"profile {profile.kind!r} has no active joint below joint_count={joint_count}"
+        )
+
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, joint_count)
+    directions = rng.normal(size=(joint_count, AXES))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms < 1e-12] = 1.0
+    directions /= norms
+
+    t = np.arange(frame_count, dtype=np.float64)
+    angle = 2.0 * np.pi * profile.temporal_frequency * t[:, None] / native_rate + phases[None, :]
+    sweep = profile.amplitude * np.sin(angle)
+    mask = np.zeros(joint_count)
+    mask[active] = 1.0
+    coords = base_pose(joint_count)[None, :, :] + (sweep * mask)[:, :, None] * directions[None, :, :]
+    return SkeletonSequence(coords, native_rate, user_label=profile.kind)
+
+
+def _check_upload_rate(sequence: SkeletonSequence, upload_rate: int) -> int:
+    if not isinstance(upload_rate, (int, np.integer)) or upload_rate < 1:
+        raise ValueError(f"upload_rate must be a positive integer, got {upload_rate!r}")
+    if sequence.native_rate % upload_rate != 0:
+        raise ValueError(
+            f"upload_rate {upload_rate} must divide the native rate {sequence.native_rate}"
+        )
+    return sequence.native_rate // upload_rate
+
+
+def downsample_render(
+    sequence: SkeletonSequence, upload_rate: int, method: str = "hold"
+) -> SkeletonSequence:
+    """Render the clip as a receiver sees it at a reduced upload rate.
+
+    Frame 0 is always uploaded, then every native_rate/upload_rate frames.
+    With method "hold" the renderer repeats the last uploaded frame; with
+    "linear" it interpolates between consecutive uploads (frames after the
+    final upload are held).
+
+    Args:
+        sequence: original clip.
+        upload_rate: frames uploaded per second; must divide the native rate.
+        method: "hold" or "linear".
+
+    Returns:
+        A sequence of the same shape containing the rendered frames.
+    """
+    period = _check_upload_rate(sequence, upload_rate)
+    frames = sequence.frame_count
+    anchor = (np.arange(frames) // period) * period
+    if method == "hold":
+        rendered = sequence.coords[anchor]
+    elif method == "linear":
+        nxt = np.minimum(anchor + period, frames - 1)
+        # Frames past the final upload have no next anchor to blend toward.
+        usable = anchor + period <= frames - 1
+        weight = np.where(usable, (np.arange(frames) - anchor) / period, 0.0)
+        rendered = (1.0 - weight[:, None, None]) * sequence.coords[anchor] + weight[
+            :, None, None
+        ] * sequence.coords[nxt]
+    else:
+        raise ValueError(f"unknown render method {method!r}; expected 'hold' or 'linear'")
+    return SkeletonSequence(rendered, sequence.native_rate, sequence.user_label)
+
+
+def downsampling_loss(sequence: SkeletonSequence, upload_rate: int, method: str = "hold") -> float:
+    """Root-mean-square rendering loss caused by a reduced upload rate.
+
+    Per frame, the squared per-axis differences between the original and the
+    rendered keypoints are summed over all joints; the loss is the square root
+    of the mean of those per-frame sums:
+
+        loss = sqrt( sum_{i,j} |original[i,j] - rendered[i,j]|^2 / frame_count )
+
+    Uploading at the full native rate gives exactly 0.
+    """
+    rendered = downsample_render(sequence, upload_rate, method)
+    total = float(np.sum((sequence.coords - rendered.coords) ** 2))
+    return math.sqrt(total / sequence.frame_count)
+
+
+def motion_difference(sequence: SkeletonSequence) -> np.ndarray:
+    """Per-transition movement: sum over joints of the Euclidean step length.
+
+    Returns an array of length frame_count - 1; entry i covers the move from
+    frame i to frame i + 1.  Needs at least two frames.
+    """
+    if sequence.frame_count < 2:
+        raise ValueError("motion_difference needs at least two frames")
+    steps = np.linalg.norm(np.diff(sequence.coords, axis=0), axis=2)
+    return steps.sum(axis=1)
+
+
+# --- frame codec ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class QuantBounds:
+    """Clamping range for one-byte quantization of keypoint coordinates."""
+
+    lo: float = -2.0
+    hi: float = 2.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("quantization bounds must be finite")
+        if not self.lo < self.hi:
+            raise ValueError(f"need lo < hi, got lo={self.lo}, hi={self.hi}")
+
+    @property
+    def span(self) -> float:
+        return self.hi - self.lo
+
+
+def encode_frame(frame: SkeletonFrame, bounds: QuantBounds = QuantBounds()) -> bytes:
+    """Pack one frame into 3 * joint_count bytes, one byte per axis.
+
+    Coordinates are clamped to [lo, hi] and quantized to 0..255.  Byte order
+    is joint-major: x, y, z of joint 0, then joint 1, and so on.
+    """
+    clamped = np.clip(frame.coords, bounds.lo, bounds.hi)
+    levels = np.rint(255.0 * (clamped - bounds.lo) / bounds.span).astype(np.uint8)
+    return levels.tobytes()
+
+
+def decode_frame(data: bytes, joint_count: int, bounds: QuantBounds = QuantBounds()) -> SkeletonFrame:
+    """Unpack a frame payload produced by encode_frame."""
+    if joint_count < 1:
+        raise ValueError("joint_count must be at least 1")
+    expected = AXES * joint_count
+    if len(data) != expected:
+        raise ValueError(f"payload must be exactly {expected} bytes, got {len(data)}")
+    levels = np.frombuffer(data, dtype=np.uint8).astype(np.float64).reshape(joint_count, AXES)
+    return SkeletonFrame(bounds.lo + levels * bounds.span / 255.0)
+
+
+def encode_sequence(sequence: SkeletonSequence, bounds: QuantBounds = QuantBounds()) -> bytes:
+    """Concatenation of encode_frame over all frames, in order."""
+    return b"".join(encode_frame(sequence.frame(i), bounds) for i in range(sequence.frame_count))
+
+
+def compression_ratio(width: int, height: int, bits_per_pixel: int, joint_count: int) -> float:
+    """Size of one raw video frame divided by the size of one keypoint payload."""
+    if width < 1 or height < 1 or bits_per_pixel < 1 or joint_count < 1:
+        raise ValueError("all codec dimensions must be positive")
+    image_bytes = width * height * bits_per_pixel / 8
+    return image_bytes / (AXES * joint_count)
+
+
+# --- serialization -------------------------------------------------------
+
+_CSV_HEADER = ["frame", "joint", "x", "y", "z"]
+
+
+def save_sequence(sequence: SkeletonSequence, fmt: str = "csv") -> bytes:
+    """Serialize a sequence to CSV or JSON bytes.
+
+    CSV carries one row per (frame, joint) with 1-based indices, sorted by
+    frame then joint; it does not carry the native rate or label.  JSON keeps
+    the full sequence including metadata.
+    """
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_CSV_HEADER)
+        for i in range(sequence.frame_count):
+            for j in range(sequence.joint_count):
+                x, y, z = sequence.coords[i, j]
+                writer.writerow([i + 1, j + 1, repr(float(x)), repr(float(y)), repr(float(z))])
+        return buf.getvalue().encode("utf-8")
+    if fmt == "json":
+        payload = {
+            "native_rate": sequence.native_rate,
+            "user_label": sequence.user_label,
+            "frames": sequence.coords.tolist(),
+        }
+        return json.dumps(payload).encode("utf-8")
+    raise ValueError(f"unknown sequence format {fmt!r}; expected 'csv' or 'json'")
+
+
+def load_sequence(
+    data: bytes,
+    fmt: str = "csv",
+    native_rate: int = 60,
+    user_label: str = "",
+) -> SkeletonSequence:
+    """Parse bytes produced by save_sequence.
+
+    For CSV the native rate and label are not part of the payload and must be
+    supplied by the caller; for JSON they come from the payload and the
+    arguments are ignored.
+
+    Raises:
+        SequenceFormatError: on malformed rows, duplicate or missing
+            (frame, joint) pairs, inconsistent joint counts, or non-finite
+            coordinates.
+    """
+    if fmt == "csv":
+        return _load_csv(data, native_rate, user_label)
+    if fmt == "json":
+        return _load_json(data)
+    raise ValueError(f"unknown sequence format {fmt!r}; expected 'csv' or 'json'")
+
+
+def _load_csv(data: bytes, native_rate: int, user_label: str) -> SkeletonSequence:
+    text = data.decode("utf-8")
+    reader = csv.reader(io.StringIO(text))
+    rows = list(reader)
+    if not rows or rows[0] != _CSV_HEADER:
+        raise SequenceFormatError(f"expected header {','.join(_CSV_HEADER)}")
+    seen: dict[tuple[int, int], tuple[float, float, float]] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise SequenceFormatError(f"line {lineno}: expected 5 fields, got {len(row)}")
+        try:
+            frame, joint = int(row[0]), int(row[1])
+            x, y, z = float(row[2]), float(row[3]), float(row[4])
+        except ValueError as exc:
+            raise SequenceFormatError(f"line {lineno}: malformed row: {exc}") from None
+        if frame < 1 or joint < 1:
+            raise SequenceFormatError(f"line {lineno}: frame and joint indices are 1-based")
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise SequenceFormatError(f"line {lineno}: non-finite coordinate")
+        if (frame, joint) in seen:
+            raise SequenceFormatError(f"line {lineno}: duplicate entry for frame {frame}, joint {joint}")
+        seen[(frame, joint)] = (x, y, z)
+    if not seen:
+        raise SequenceFormatError("no data rows")
+    frame_count = max(f for f, _ in seen)
+    joint_count = max(j for _, j in seen)
+    per_frame: dict[int, int] = {}
+    for f, _ in seen:
+        per_frame[f] = per_frame.get(f, 0) + 1
+    for f in range(1, frame_count + 1):
+        got = per_frame.get(f, 0)
+        if got != joint_count:
+            raise SequenceFormatError(
+                f"inconsistent joint count at frame {f}: expected {joint_count}, got {got}"
+            )
+    coords = np.empty((frame_count, joint_count, AXES))
+    for f in range(1, frame_count + 1):
+        for j in range(1, joint_count + 1):
+            if (f, j) not in seen:
+                raise SequenceFormatError(f"missing entry for frame {f}, joint {j}")
+            coords[f - 1, j - 1] = seen[(f, j)]
+    return SkeletonSequence(coords, native_rate, user_label)
+
+
+def _load_json(data: bytes) -> SkeletonSequence:
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SequenceFormatError(f"invalid JSON payload: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SequenceFormatError("JSON payload must be an object")
+    missing = {"native_rate", "user_label", "frames"} - payload.keys()
+    if missing:
+        raise SequenceFormatError(f"JSON payload missing keys: {sorted(missing)}")
+    rate = payload["native_rate"]
+    label = payload["user_label"]
+    if not isinstance(rate, int) or isinstance(rate, bool):
+        raise SequenceFormatError("native_rate must be an integer")
+    if not isinstance(label, str):
+        raise SequenceFormatError("user_label must be a string")
+    try:
+        coords = np.asarray(payload["frames"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SequenceFormatError("frames must be a rectangular array of [x, y, z] triples") from None
+    if coords.ndim != 3 or coords.shape[2] != AXES:
+        raise SequenceFormatError(
+            f"frames must have shape (frames, joints, 3), got {coords.shape}"
+        )
+    if not np.isfinite(coords).all():
+        raise SequenceFormatError("frames contain non-finite coordinates")
+    try:
+        return SkeletonSequence(coords, rate, label)
+    except ValueError as exc:
+        raise SequenceFormatError(str(exc)) from None
