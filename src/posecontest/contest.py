@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .skeleton import SkeletonSequence, downsampling_loss
 
 # Loss at the reference rate can be exactly 0 (a perfectly still user); the
@@ -35,15 +37,6 @@ def divisors(n: int) -> tuple[int, ...]:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"need a positive integer, got {n!r}")
     return tuple(d for d in range(1, n + 1) if n % d == 0)
-
-
-def capability(sequence: SkeletonSequence, method: str = "hold") -> float:
-    """How lossy a user's motion is when uploaded at the reference rate of 1 fps.
-
-    Fast, large motion gives a high value; a statue gives the floor value.
-    Higher capability also means a lower marginal cost of uploading.
-    """
-    return max(downsampling_loss(sequence, REFERENCE_RATE, method), CAPABILITY_FLOOR)
 
 
 def cost(capability_value: float, upload_rate: int) -> float:
@@ -106,6 +99,19 @@ def win_cdf(loss_value: float, population: PopulationModel) -> float:
     return min(1.0, max(0.0, p))
 
 
+def rank_factors(win: float, n_contestants: int) -> list[tuple[int, float, float]]:
+    """Per-rank factors of the expected payment at single-opponent win odds win.
+
+    Entry i, for rank i+1, is (C(n-1, i), win^(n-1-i), (1-win)^i): the ways to
+    pick the i opponents who finish ahead, the chance of beating all the
+    others, and the chance of losing to those i.
+    """
+    return [
+        (math.comb(n_contestants - 1, i), win ** (n_contestants - 1 - i), (1.0 - win) ** i)
+        for i in range(n_contestants)
+    ]
+
+
 def expected_payment(
     loss_value: float,
     awards: AwardSetting,
@@ -127,28 +133,11 @@ def expected_payment(
         raise ValueError(
             f"{awards.count} prizes for {n_contestants} contestants; need count <= n"
         )
-    p = win_cdf(loss_value, population)
+    factors = rank_factors(win_cdf(loss_value, population), n_contestants)
     total = 0.0
-    for i in range(1, awards.count + 1):
-        total += (
-            awards.prizes[i - 1]
-            * math.comb(n_contestants - 1, i - 1)
-            * p ** (n_contestants - i)
-            * (1.0 - p) ** (i - 1)
-        )
+    for prize, (ways, win, lose) in zip(awards.prizes, factors):
+        total += prize * ways * win * lose
     return total
-
-
-def utility(
-    awards: AwardSetting, rank: int, capability_value: float, upload_rate: int
-) -> float:
-    """Realized payoff at a known final rank: prize (if any) minus effort cost."""
-    if rank < 1:
-        raise ValueError(f"rank is 1-based, got {rank!r}")
-    c = cost(capability_value, upload_rate)
-    if rank <= awards.count:
-        return awards.prizes[rank - 1] - c
-    return -c
 
 
 @dataclass
@@ -201,6 +190,61 @@ def population_from(contestants: list[ContestantState]) -> PopulationModel:
     return PopulationModel(max(c.capability for c in contestants))
 
 
+class BestResponse:
+    """Every user's best-response upload rate on one field, for any prize vector.
+
+    The opponent model is fixed for the field, so the per-rank factors of
+    expected_payment at every user's every rate, and the effort costs, are
+    tabled once.  Payments then accumulate rank by rank in expected_payment's
+    own operation order, so the rates match the scalar path bit for bit.
+    Mode "net" maximizes expected payment minus effort cost; mode "payment"
+    maximizes expected payment alone.  Ties go to the lowest rate.
+    """
+
+    def __init__(
+        self,
+        contestants: list[ContestantState],
+        population: PopulationModel,
+        n_contestants: int,
+        mode: str = "net",
+    ):
+        if mode not in SELECTION_MODES:
+            raise ValueError(f"unknown selection mode {mode!r}; expected one of {SELECTION_MODES}")
+        if n_contestants < 1:
+            raise ValueError("n_contestants must be at least 1")
+        self.rates = [c.effort_set for c in contestants]
+        # Ragged effort sets are padded on the right with scores of -inf.
+        shape = (len(contestants), max(len(rates) for rates in self.rates))
+        table = np.zeros((n_contestants, 2, *shape))  # rank, (win, lose), user, rate
+        self._charge = np.full(shape, math.inf)
+        for u, c in enumerate(contestants):
+            for r, f in enumerate(c.effort_set):
+                factors = rank_factors(win_cdf(c.loss_table[f], population), n_contestants)
+                table[:, :, u, r] = [(win, lose) for _, win, lose in factors]
+                self._charge[u, r] = cost(c.capability, f) if mode == "net" else 0.0
+        self._ranks = [(math.comb(n_contestants - 1, i), *table[i]) for i in range(n_contestants)]
+
+    def payments(self, prizes: tuple[float, ...]) -> np.ndarray:
+        """Expected payment of each user (row) at each of their rates (column)."""
+        if len(prizes) > len(self._ranks):
+            raise ValueError(f"{len(prizes)} prizes for {len(self._ranks)} users; need count <= n")
+        total = np.zeros(self._charge.shape)
+        for prize, (ways, win, lose) in zip(prizes, self._ranks):
+            total += float(prize) * ways * win * lose
+        return total
+
+    def efforts(self, prizes: tuple[float, ...]) -> tuple[int, ...]:
+        """The rate each user picks, in field order, given the prize vector."""
+        chosen = []
+        for rates, scores in zip(self.rates, (self.payments(prizes) - self._charge).tolist()):
+            bar = -math.inf  # later rates must clear the best score by the tie tolerance
+            for f, score in zip(rates, scores):
+                if score > bar:
+                    best, bar = f, score + SCORE_TIE_REL_TOL * max(1.0, abs(score))
+            chosen.append(best)
+        return tuple(chosen)
+
+
 def select_effort(
     contestant: ContestantState,
     awards: AwardSetting,
@@ -208,23 +252,8 @@ def select_effort(
     n_contestants: int,
     mode: str = "net",
 ) -> int:
-    """The upload rate a rational user picks given the prize vector.
-
-    Mode "net" maximizes expected payment minus effort cost; mode "payment"
-    maximizes expected payment alone.  Ties go to the lowest rate.
-    """
-    if mode not in SELECTION_MODES:
-        raise ValueError(f"unknown selection mode {mode!r}; expected one of {SELECTION_MODES}")
-    best_rate = None
-    best_score = 0.0
-    for f in contestant.effort_set:
-        score = expected_payment(contestant.loss_table[f], awards, n_contestants, population)
-        if mode == "net":
-            score -= cost(contestant.capability, f)
-        if best_rate is None or score > best_score + SCORE_TIE_REL_TOL * max(1.0, abs(best_score)):
-            best_rate = f
-            best_score = score
-    return best_rate
+    """The upload rate a rational user picks given the prize vector (see BestResponse)."""
+    return BestResponse([contestant], population, n_contestants, mode).efforts(awards.prizes)[0]
 
 
 @dataclass
@@ -258,6 +287,11 @@ class ScenarioConfig:
     def with_awards(self, prizes: tuple[float, ...]) -> "ScenarioConfig":
         return replace(self, awards=AwardSetting(prizes))
 
+    def round_loss(self, efforts: tuple[int, ...]) -> tuple[tuple[float, ...], float, bool]:
+        """Per-user loss, total loss and budget feasibility of a round at these rates."""
+        per_user = tuple(c.loss_table[f] for c, f in zip(self.contestants, efforts))
+        return per_user, float(sum(per_user)), sum(efforts) <= self.budget
+
 
 @dataclass(frozen=True)
 class ContestOutcome:
@@ -282,10 +316,9 @@ def simulate_contest(
     records the violation.
     """
     pop = population if population is not None else population_from(scenario.contestants)
-    efforts = tuple(
-        select_effort(c, scenario.awards, pop, scenario.n_contestants, scenario.selection_mode)
-        for c in scenario.contestants
-    )
+    efforts = BestResponse(
+        scenario.contestants, pop, scenario.n_contestants, scenario.selection_mode
+    ).efforts(scenario.awards.prizes)
     order = sorted(
         range(scenario.n_contestants),
         key=lambda i: (-efforts[i], -scenario.contestants[i].capability, scenario.contestants[i].user_id),
@@ -295,19 +328,4 @@ def simulate_contest(
     for rank_index, i in enumerate(order):
         if rank_index < scenario.awards.count:
             prize_by_user[i] = scenario.awards.prizes[rank_index]
-    per_user_loss = tuple(
-        c.loss_table[f] for c, f in zip(scenario.contestants, efforts)
-    )
-    return ContestOutcome(
-        efforts=efforts,
-        ranking=ranking,
-        prize_by_user=tuple(prize_by_user),
-        per_user_loss=per_user_loss,
-        total_loss=float(sum(per_user_loss)),
-        feasible=sum(efforts) <= scenario.budget,
-    )
-
-
-def total_loss(outcome: ContestOutcome) -> float:
-    """Summed rendering loss of one outcome."""
-    return outcome.total_loss
+    return ContestOutcome(efforts, ranking, tuple(prize_by_user), *scenario.round_loss(efforts))

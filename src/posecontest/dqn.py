@@ -19,12 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contest import (
-    PopulationModel,
-    ScenarioConfig,
-    population_from,
-    simulate_contest,
-)
+from .contest import BestResponse, PopulationModel, ScenarioConfig, population_from
 
 REWARD_MODES = ("strict", "full_budget")
 
@@ -134,6 +129,9 @@ class ContestEnv:
         self.actions = enumerate_actions(scenario.n_contestants)
         self.pool = scenario.awards.pool
         self._rates = np.array([c.native_rate for c in scenario.contestants], dtype=np.float64)
+        self.responses = BestResponse(
+            scenario.contestants, self.population, scenario.n_contestants, scenario.selection_mode
+        )
 
     @property
     def n_actions(self) -> int:
@@ -147,23 +145,17 @@ class ContestEnv:
         """Equal split: the neutral, pool-preserving starting point."""
         n = self.scenario.n_contestants
         prizes = (self.pool / n,) * n
-        outcome = simulate_contest(self.scenario.with_awards(prizes), self.population)
-        return EnvState(prizes, outcome.efforts)
+        return EnvState(prizes, self.responses.efforts(prizes))
 
     def step(self, state: EnvState, action: tuple[int, ...]) -> tuple[EnvState, float]:
         """Apply one prize move, let users re-pick rates, score the round."""
         prizes = apply_action(state.prizes, action)
-        outcome = simulate_contest(self.scenario.with_awards(prizes), self.population)
+        efforts = self.responses.efforts(prizes)
+        losses, _, _ = self.scenario.round_loss(efforts)
         r = reward(
-            outcome.efforts,
-            prizes,
-            outcome.per_user_loss,
-            self.scenario.budget,
-            self.pool,
-            self.reward_mode,
-            self.reward_scale,
+            efforts, prizes, losses, self.scenario.budget, self.pool, self.reward_mode, self.reward_scale
         )
-        return EnvState(prizes, outcome.efforts), r
+        return EnvState(prizes, efforts), r
 
     def state_vector(self, state: EnvState) -> np.ndarray:
         """Network input: prizes normalized by pool, rates by native rate."""
@@ -172,12 +164,10 @@ class ContestEnv:
         return np.concatenate([prizes, efforts])
 
     def total_loss_of(self, state: EnvState) -> float:
-        return float(
-            sum(c.loss_table[f] for c, f in zip(self.scenario.contestants, state.efforts))
-        )
+        return self.scenario.round_loss(state.efforts)[1]
 
     def is_feasible(self, state: EnvState) -> bool:
-        return sum(state.efforts) <= self.scenario.budget
+        return self.scenario.round_loss(state.efforts)[2]
 
 
 class Mlp:

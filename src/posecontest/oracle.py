@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .contest import ScenarioConfig, simulate_contest, population_from
+from .contest import BestResponse, ScenarioConfig, population_from
 
 EFFORT_SEARCH_CAP = 10_000_000
 
@@ -80,17 +80,15 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     enrolled field so every vector is judged against the same opponents.
     """
     pop = population_from(scenario.contestants)
+    responses = BestResponse(scenario.contestants, pop, scenario.n_contestants, scenario.selection_mode)
     entries = []
     best: SearchEntry | None = None
     for prizes in award_grid(scenario.awards.pool, scenario.n_contestants, step):
-        outcome = simulate_contest(scenario.with_awards(prizes), pop)
-        entry = SearchEntry(prizes, outcome.efforts, outcome.total_loss, outcome.feasible)
+        efforts = responses.efforts(prizes)
+        entry = SearchEntry(prizes, efforts, *scenario.round_loss(efforts)[1:])
         entries.append(entry)
-        if entry.feasible and (
-            best is None
-            or entry.total_loss < best.total_loss
-            or (entry.total_loss == best.total_loss and entry.prizes < best.prizes)
-        ):
+        # The grid is in increasing order, so the first of equal losses is the smallest vector.
+        if entry.feasible and (best is None or entry.total_loss < best.total_loss):
             best = entry
     if best is None:
         return AwardSearchResult(None, math.inf, None, len(entries), tuple(entries))
@@ -140,8 +138,7 @@ def average_baseline(scenario: ScenarioConfig) -> tuple[tuple[int, ...], float]:
     efforts = tuple(
         max(f for f in c.effort_set if f <= share) for c in scenario.contestants
     )
-    loss = sum(c.loss_table[f] for c, f in zip(scenario.contestants, efforts))
-    return efforts, float(loss)
+    return efforts, scenario.round_loss(efforts)[1]
 
 
 def format_search_ledger(result: AwardSearchResult) -> str:

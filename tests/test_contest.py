@@ -12,18 +12,15 @@ from posecontest.contest import (
     ContestantState,
     PopulationModel,
     ScenarioConfig,
-    capability,
     cost,
     divisors,
     expected_payment,
     population_from,
     select_effort,
     simulate_contest,
-    total_loss,
-    utility,
     win_cdf,
 )
-from posecontest.skeleton import SkeletonSequence, downsampling_loss, generate_synthetic, get_profile
+from posecontest.skeleton import SkeletonSequence, generate_synthetic, get_profile
 
 
 def make_contestant(user_id, kind="run", rate=6, frames=12, seed=0):
@@ -65,14 +62,6 @@ class TestCostAndCapability:
         # more upload, more cost; more capability, less cost
         assert cost(1.0, 4) > cost(1.0, 2)
         assert cost(2.0, 4) < cost(1.0, 4)
-
-    def test_capability_matches_reference_loss(self):
-        seq = generate_synthetic(get_profile("dance"), 24, 6, seed=3)
-        assert capability(seq) == downsampling_loss(seq, 1)
-
-    def test_capability_floor_for_static_clip(self):
-        seq = SkeletonSequence(np.zeros((8, 2, 3)), 4)
-        assert capability(seq) == CAPABILITY_FLOOR
 
 
 class TestAwardSetting:
@@ -148,18 +137,6 @@ class TestExpectedPayment:
             expected_payment(0.5, awards, 0, pop)
 
 
-class TestUtility:
-    def test_prize_minus_cost(self):
-        awards = AwardSetting((10.0, 4.0))
-        assert utility(awards, 1, 2.0, 6) == pytest.approx(10.0 - 3.0)
-        assert utility(awards, 2, 2.0, 6) == pytest.approx(4.0 - 3.0)
-        assert utility(awards, 3, 2.0, 6) == pytest.approx(-3.0)
-
-    def test_rank_is_one_based(self):
-        with pytest.raises(ValueError):
-            utility(AwardSetting((1.0,)), 0, 1.0, 1)
-
-
 class TestContestantState:
     def test_from_sequence(self):
         c = make_contestant(1, "dance", rate=6)
@@ -167,6 +144,12 @@ class TestContestantState:
         assert set(c.loss_table) == {1, 2, 3, 6}
         assert c.capability == max(c.loss_table[1], CAPABILITY_FLOOR)
         assert c.loss_table[6] == 0.0
+
+    def test_capability_floor_for_static_clip(self):
+        seq = SkeletonSequence(np.zeros((8, 2, 3)), 4)
+        c = ContestantState.from_sequence(1, seq)
+        assert c.loss_table[1] == 0.0
+        assert c.capability == CAPABILITY_FLOOR
 
     def test_cross_validation(self):
         c = make_contestant(1)
@@ -273,7 +256,6 @@ class TestSimulateContest:
             assert f == select_effort(c, tiny_scenario.awards, pop, 3, "net")
             assert loss == c.loss_table[f]
         assert outcome.total_loss == pytest.approx(sum(outcome.per_user_loss))
-        assert total_loss(outcome) == outcome.total_loss
         assert outcome.feasible == (sum(outcome.efforts) <= tiny_scenario.budget)
 
     def test_ranking_and_prizes(self, tiny_scenario):
