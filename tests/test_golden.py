@@ -1,9 +1,10 @@
 """Golden digests: the CLI's outputs, byte for byte, pinned by sha256.
 
 A refactor that claims to leave behaviour unchanged must leave these digests
-unchanged.  The training outputs pass through BLAS matrix products, so their
-digests hold for the environment they were pinned in: numpy 2.4.6 with
-OpenBLAS 0.3.31 on x86-64.  The contest and search reports use no BLAS.
+unchanged.  The training and compare outputs pass through BLAS matrix
+products, so their digests hold for the environment they were pinned in:
+numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64.  The clip, codec, contest and
+search outputs use no BLAS.
 """
 
 import hashlib
@@ -22,11 +23,15 @@ def test_small_training_outputs(tmp_path):
     ini = tmp_path / "small.ini"
     ini.write_text(SMALL_INI)
     assert cli_main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    assert cli_main(["compare", "--config", str(ini), "--out", str(tmp_path)]) == 0
     assert digest(tmp_path / "history.csv") == (
         "95e9b584afbedfc6e04c35fa3c86c2c6fde8a1d0a2e966f37efcea90a16a4fd8"
     )
     assert digest(tmp_path / "policy.bin") == (
         "0320fd022cf3d8bba80abb99d14ed444c16ed5dfb5e426338c77514fd4d7e560"
+    )
+    assert digest(tmp_path / "compare.csv") == (
+        "f64ef20eb841e40ce21cc23fc49fc5ed74cd9e2dc5b95d886f4ab95c00e59730"
     )
 
 
@@ -50,3 +55,52 @@ def test_contest_report(tmp_path, awards, expected):
         argv += ["--awards", awards]
     assert cli_main(argv) == 0
     assert digest(tmp_path / "contest.csv") == expected
+
+
+GEN_DIGESTS = {
+    "csv": (
+        "144f987464650a9f67fc49dbf4e5b8b4404a423cad65cff396087cb9388591ac",
+        "9c8306d6808009e1ca8afab0db4f5c222d5c7b7cb6f9855ded98a0d44fb316df",
+        "b9ba5033947ac367f1d77780a7b573064614826c7a2bef1e66e3c182bcea0f12",
+        "7ab452421c60257f99321d9ad3568140c303abfe1bea00daaf2228a724a65e4c",
+    ),
+    "json": (
+        "772b59b36ef7a9c17a9d7c6777d7a94344075c311c7f896a8cd3aa2129443555",
+        "8d2c537f89cf202706d6fb08b164652c0ccc745c48c979f921d3f4729c0d2533",
+        "a6c384910efa3aecab964a668e65bd0feb348f318bd56320e4efa3917ba6fbbf",
+        "ee4dbf38f0771992f8e9233f544ced0b2262e458cc4c1d985838bef5560722e6",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GEN_DIGESTS))
+def test_generated_clips(tmp_path, fmt):
+    assert cli_main(["gen", "--format", fmt, "--out", str(tmp_path)]) == 0
+    got = tuple(digest(tmp_path / f"user{i}.{fmt}") for i in range(1, 5))
+    assert got == GEN_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize(
+    "source, payload, error_line",
+    [
+        (
+            None,
+            "c1fda2bb5ad4acdd4dfe6176b3b4677d399bb2d1a4cbd0662b592e6982121b11",
+            "max quantization error 0.00783582072128658 (half-step bound 0.00784313725490196)",
+        ),
+        (
+            "user2.csv",
+            "cc309f5baadb713a973b704450fe095f9ee442233c332af1bbcc28061f49dc91",
+            "max quantization error 0.00784077278861739 (half-step bound 0.00784313725490196)",
+        ),
+    ],
+)
+def test_codec_payload(tmp_path, capsys, source, payload, error_line):
+    argv = ["codec", "--out", str(tmp_path / "codec")]
+    if source is not None:
+        assert cli_main(["gen", "--out", str(tmp_path)]) == 0
+        argv += ["--input", str(tmp_path / source)]
+    capsys.readouterr()
+    assert cli_main(argv) == 0
+    assert digest(tmp_path / "codec" / "payload.bin") == payload
+    assert error_line in capsys.readouterr().out.splitlines()
