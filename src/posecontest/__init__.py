@@ -5,142 +5,6 @@ uploads, an exhaustive search oracle, and a small from-scratch DQN that tunes
 the prize vector to cut total rendering loss.
 """
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_contestants,
-    build_scenario,
-    data_seed,
-    parse_config,
-    read_config_file,
-)
-from .contest import (
-    AwardSetting,
-    ContestantState,
-    ContestOutcome,
-    PopulationModel,
-    ScenarioConfig,
-    cost,
-    divisors,
-    expected_payment,
-    population_from,
-    select_effort,
-    simulate_contest,
-    win_cdf,
-)
-from .dqn import (
-    ContestEnv,
-    DqnConfig,
-    EpisodeRecord,
-    Mlp,
-    PolicyEvaluation,
-    ReplayBuffer,
-    Transition,
-    apply_action,
-    enumerate_actions,
-    evaluate_policy,
-    format_history,
-    load_policy,
-    reward,
-    save_policy,
-    train,
-)
-from .oracle import (
-    AwardSearchResult,
-    SearchEntry,
-    average_baseline,
-    award_grid,
-    exhaustive_award_search,
-    exhaustive_effort_search,
-    format_search_ledger,
-)
-from .skeleton import (
-    DEFAULT_PROFILES,
-    JOINT_COUNT,
-    JOINT_NAMES,
-    Keypoint3,
-    MotionProfile,
-    QuantBounds,
-    SequenceFormatError,
-    SkeletonFrame,
-    SkeletonSequence,
-    base_pose,
-    compression_ratio,
-    decode_frame,
-    downsample_render,
-    downsampling_loss,
-    encode_frame,
-    encode_sequence,
-    generate_synthetic,
-    get_profile,
-    load_sequence,
-    motion_difference,
-    save_sequence,
-)
+from . import config, contest, dqn, oracle, skeleton
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AwardSearchResult",
-    "AwardSetting",
-    "ConfigError",
-    "ContestEnv",
-    "ContestOutcome",
-    "ContestantState",
-    "DEFAULT_PROFILES",
-    "DqnConfig",
-    "EpisodeRecord",
-    "JOINT_COUNT",
-    "JOINT_NAMES",
-    "Keypoint3",
-    "Mlp",
-    "MotionProfile",
-    "PolicyEvaluation",
-    "PopulationModel",
-    "QuantBounds",
-    "ReplayBuffer",
-    "RunConfig",
-    "ScenarioConfig",
-    "SearchEntry",
-    "SequenceFormatError",
-    "SkeletonFrame",
-    "SkeletonSequence",
-    "Transition",
-    "apply_action",
-    "average_baseline",
-    "award_grid",
-    "base_pose",
-    "build_contestants",
-    "build_scenario",
-    "compression_ratio",
-    "cost",
-    "data_seed",
-    "decode_frame",
-    "divisors",
-    "downsample_render",
-    "downsampling_loss",
-    "encode_frame",
-    "encode_sequence",
-    "enumerate_actions",
-    "evaluate_policy",
-    "exhaustive_award_search",
-    "exhaustive_effort_search",
-    "expected_payment",
-    "format_history",
-    "format_search_ledger",
-    "generate_synthetic",
-    "get_profile",
-    "load_policy",
-    "load_sequence",
-    "motion_difference",
-    "parse_config",
-    "population_from",
-    "read_config_file",
-    "reward",
-    "save_policy",
-    "save_sequence",
-    "select_effort",
-    "simulate_contest",
-    "train",
-    "win_cdf",
-]

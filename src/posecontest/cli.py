@@ -8,12 +8,13 @@ payloads).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
 from dataclasses import replace
 
-from .config import ConfigError, RunConfig, build_scenario, data_seed, read_config_file
+from .config import ConfigError, RunConfig, build_scenario, read_config_file, user_clip
 from .contest import AwardSetting, simulate_contest
 from .dqn import (
     ContestEnv,
@@ -33,9 +34,7 @@ from .skeleton import (
     SequenceFormatError,
     compression_ratio,
     decode_frame,
-    encode_frame,
-    generate_synthetic,
-    get_profile,
+    encode_sequence,
     load_sequence,
     save_sequence,
 )
@@ -67,8 +66,8 @@ def _parse_awards(raw: str, cfg: RunConfig) -> AwardSetting:
         raise ConfigError(f"awards must be a comma-separated list of numbers, got {raw!r}") from None
     if len(prizes) != cfg.users:
         raise ConfigError(f"awards lists {len(prizes)} prizes for {cfg.users} users")
-    if any(p < 0 for p in prizes):
-        raise ConfigError("awards must be non-negative")
+    if any(not math.isfinite(p) or p < 0 for p in prizes):
+        raise ConfigError("awards must be finite and non-negative")
     if abs(sum(prizes) - cfg.pool) > 1e-9 * max(1.0, cfg.pool):
         raise ConfigError(f"awards sum to {sum(prizes)}, expected the pool {cfg.pool}")
     return AwardSetting(tuple(sorted(prizes, reverse=True)))
@@ -76,13 +75,7 @@ def _parse_awards(raw: str, cfg: RunConfig) -> AwardSetting:
 
 def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
     for i, kind in enumerate(cfg.profiles):
-        seq = generate_synthetic(
-            get_profile(kind),
-            cfg.frame_count,
-            cfg.native_rate,
-            cfg.joint_count,
-            seed=data_seed(cfg.seed, i),
-        )
+        seq = user_clip(cfg, i)
         path = _out_path(cfg, f"user{i + 1}.{args.format}")
         _atomic_write(path, save_sequence(seq, args.format))
         print(
@@ -197,26 +190,20 @@ def cmd_codec(cfg: RunConfig, args: argparse.Namespace) -> int:
         except FileNotFoundError:
             raise RuntimeError(f"input file {args.input!r} not found") from None
     else:
-        seq = generate_synthetic(
-            get_profile(cfg.profiles[0]),
-            cfg.frame_count,
-            cfg.native_rate,
-            cfg.joint_count,
-            seed=data_seed(cfg.seed, 0),
-        )
+        seq = user_clip(cfg, 0)
 
-    frames = [seq.frame(i) for i in range(seq.frame_count)]
-    payload = b"".join(encode_frame(f, cfg.bounds) for f in frames)
+    payload = encode_sequence(seq, cfg.bounds)
     path = _out_path(cfg, "payload.bin")
     _atomic_write(path, payload)
 
     bytes_per_frame = 3 * seq.joint_count
     ratio = compression_ratio(cfg.image_width, cfg.image_height, cfg.image_bits, seq.joint_count)
+    clipped = seq.coords.clip(cfg.bounds.lo, cfg.bounds.hi)
     error = 0.0
-    for frame in frames:
-        decoded = decode_frame(encode_frame(frame, cfg.bounds), seq.joint_count, cfg.bounds)
-        clipped = frame.coords.clip(cfg.bounds.lo, cfg.bounds.hi)
-        error = max(error, float(abs(clipped - decoded.coords).max()))
+    for i in range(seq.frame_count):
+        chunk = payload[i * bytes_per_frame:(i + 1) * bytes_per_frame]
+        decoded = decode_frame(chunk, seq.joint_count, cfg.bounds)
+        error = max(error, float(abs(clipped[i] - decoded.coords).max()))
     half_step = cfg.bounds.span / 510.0
 
     print(f"wrote {path}: {seq.frame_count} frames, {bytes_per_frame} bytes/frame")

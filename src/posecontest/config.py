@@ -19,6 +19,7 @@ or keys are rejected rather than ignored.
 from __future__ import annotations
 
 import configparser
+import math
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .contest import SELECTION_MODES, ContestantState, AwardSetting, ScenarioConfig
 from .dqn import DqnConfig
-from .skeleton import DEFAULT_PROFILES, QuantBounds, generate_synthetic, get_profile
+from .skeleton import DEFAULT_PROFILES, QuantBounds, SkeletonSequence, generate_synthetic, get_profile
 
 RENDER_METHODS = ("hold", "linear")
 
@@ -105,19 +106,23 @@ def data_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def user_clip(cfg: RunConfig, index: int) -> SkeletonSequence:
+    """The synthetic clip of the user at 0-based index, from the run seed."""
+    return generate_synthetic(
+        get_profile(cfg.profiles[index]),
+        cfg.frame_count,
+        cfg.native_rate,
+        cfg.joint_count,
+        seed=data_seed(cfg.seed, index),
+    )
+
+
 def build_contestants(cfg: RunConfig) -> list[ContestantState]:
     """Generate each user's clip and derive their contest state."""
-    contestants = []
-    for i, kind in enumerate(cfg.profiles):
-        seq = generate_synthetic(
-            get_profile(kind),
-            cfg.frame_count,
-            cfg.native_rate,
-            cfg.joint_count,
-            seed=data_seed(cfg.seed, i),
-        )
-        contestants.append(ContestantState.from_sequence(i + 1, seq, cfg.render_method))
-    return contestants
+    return [
+        ContestantState.from_sequence(i + 1, user_clip(cfg, i), cfg.render_method)
+        for i in range(cfg.users)
+    ]
 
 
 def build_scenario(cfg: RunConfig) -> ScenarioConfig:
@@ -137,7 +142,10 @@ def _to_int(raw: str) -> int:
 
 
 def _to_float(raw: str) -> float:
-    return float(raw.strip())
+    value = float(raw.strip())
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
 
 
 def _to_str(raw: str) -> str:

@@ -245,17 +245,6 @@ class BestResponse:
         return tuple(chosen)
 
 
-def select_effort(
-    contestant: ContestantState,
-    awards: AwardSetting,
-    population: PopulationModel,
-    n_contestants: int,
-    mode: str = "net",
-) -> int:
-    """The upload rate a rational user picks given the prize vector (see BestResponse)."""
-    return BestResponse([contestant], population, n_contestants, mode).efforts(awards.prizes)[0]
-
-
 @dataclass
 class ScenarioConfig:
     """A full contest instance: the field, the budget, and the prize vector."""

@@ -163,12 +163,6 @@ class ContestEnv:
         efforts = np.asarray(state.efforts, dtype=np.float64) / self._rates
         return np.concatenate([prizes, efforts])
 
-    def total_loss_of(self, state: EnvState) -> float:
-        return self.scenario.round_loss(state.efforts)[1]
-
-    def is_feasible(self, state: EnvState) -> bool:
-        return self.scenario.round_loss(state.efforts)[2]
-
 
 class Mlp:
     """Fully connected ReLU network with a linear output layer, float64.
@@ -418,7 +412,7 @@ def train(scenario: ScenarioConfig, config: DqnConfig = DqnConfig()) -> tuple[Ml
             EpisodeRecord(
                 episode=episode,
                 mean_reward=reward_sum / config.steps_per_episode,
-                total_loss=env.total_loss_of(state),
+                total_loss=scenario.round_loss(state.efforts)[1],
                 epsilon=epsilon,
             )
         )
@@ -451,22 +445,22 @@ def evaluate_policy(net: Mlp, env: ContestEnv, steps: int = 100) -> PolicyEvalua
     best_state = None
     best_loss = math.inf
 
-    def consider(s: EnvState) -> None:
+    def visit(s: EnvState) -> tuple[float, bool]:
         nonlocal best_state, best_loss
-        if env.is_feasible(s):
-            loss = env.total_loss_of(s)
-            if loss < best_loss:
-                best_state, best_loss = s, loss
+        _, loss, feasible = env.scenario.round_loss(s.efforts)
+        if feasible and loss < best_loss:
+            best_state, best_loss = s, loss
+        return loss, feasible
 
-    consider(state)
+    final_loss, final_feasible = visit(state)
     for _ in range(steps):
         action_index = greedy_action(net, env.state_vector(state))
         state, _ = env.step(state, env.actions[action_index])
-        consider(state)
+        final_loss, final_feasible = visit(state)
     return PolicyEvaluation(
         final_state=state,
-        final_total_loss=env.total_loss_of(state),
-        final_feasible=env.is_feasible(state),
+        final_total_loss=final_loss,
+        final_feasible=final_feasible,
         best_state=best_state,
         best_total_loss=best_loss,
         steps=steps,

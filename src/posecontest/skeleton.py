@@ -71,22 +71,6 @@ class SequenceFormatError(ValueError):
     """Serialized sequence data violates the expected layout."""
 
 
-@dataclass(frozen=True)
-class Keypoint3:
-    """One 3-D body keypoint in metres."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError("keypoint components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-
 @dataclass(eq=False)
 class SkeletonFrame:
     """All keypoints of one captured frame, shape (joint_count, 3)."""
@@ -106,10 +90,6 @@ class SkeletonFrame:
     @property
     def joint_count(self) -> int:
         return self.coords.shape[0]
-
-    def keypoint(self, joint: int) -> Keypoint3:
-        x, y, z = self.coords[joint]
-        return Keypoint3(float(x), float(y), float(z))
 
 
 @dataclass(eq=False)
@@ -146,9 +126,6 @@ class SkeletonSequence:
     @property
     def joint_count(self) -> int:
         return self.coords.shape[1]
-
-    def frame(self, index: int) -> SkeletonFrame:
-        return SkeletonFrame(self.coords[index].copy())
 
 
 @dataclass(frozen=True)
@@ -368,15 +345,19 @@ class QuantBounds:
         return self.hi - self.lo
 
 
+def _quantize(coords: np.ndarray, bounds: QuantBounds) -> bytes:
+    # Elementwise, so a whole clip packs to the same bytes as its frames one by one.
+    clamped = np.clip(coords, bounds.lo, bounds.hi)
+    return np.rint(255.0 * (clamped - bounds.lo) / bounds.span).astype(np.uint8).tobytes()
+
+
 def encode_frame(frame: SkeletonFrame, bounds: QuantBounds = QuantBounds()) -> bytes:
     """Pack one frame into 3 * joint_count bytes, one byte per axis.
 
     Coordinates are clamped to [lo, hi] and quantized to 0..255.  Byte order
     is joint-major: x, y, z of joint 0, then joint 1, and so on.
     """
-    clamped = np.clip(frame.coords, bounds.lo, bounds.hi)
-    levels = np.rint(255.0 * (clamped - bounds.lo) / bounds.span).astype(np.uint8)
-    return levels.tobytes()
+    return _quantize(frame.coords, bounds)
 
 
 def decode_frame(data: bytes, joint_count: int, bounds: QuantBounds = QuantBounds()) -> SkeletonFrame:
@@ -392,7 +373,7 @@ def decode_frame(data: bytes, joint_count: int, bounds: QuantBounds = QuantBound
 
 def encode_sequence(sequence: SkeletonSequence, bounds: QuantBounds = QuantBounds()) -> bytes:
     """Concatenation of encode_frame over all frames, in order."""
-    return b"".join(encode_frame(sequence.frame(i), bounds) for i in range(sequence.frame_count))
+    return _quantize(sequence.coords, bounds)
 
 
 def compression_ratio(width: int, height: int, bits_per_pixel: int, joint_count: int) -> float:

@@ -134,3 +134,11 @@ def test_equal_split_ties_go_to_rate_one(default_scenario, mode):
         assert max(payments) - min(payments) <= SCORE_TIE_REL_TOL * 25.0
     assert mismatches(contestants, [awards.prizes], mode) == []
     assert BestResponse(contestants, pop, 4, mode).efforts(awards.prizes) == (1, 1, 1, 1)
+
+
+def test_near_tie_below_one_goes_to_rate_one():
+    # Payments this small differ by less than SCORE_TIE_REL_TOL, so the
+    # tolerance's absolute floor, not its relative part, makes them ties.
+    scenario = build_scenario(SMALL)
+    kernel = BestResponse(scenario.contestants, population_from(scenario.contestants), 3, "payment")
+    assert kernel.efforts((1e-9, 0.0, 0.0)) == (1, 1, 1)

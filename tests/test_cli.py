@@ -186,7 +186,7 @@ class TestContest:
         assert run("contest", "--config", tiny_ini, "--out", str(out), "--awards", "0,10") == 0
         assert "awards: 10.0, 0.0" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("raw", ["1,2,3", "5,x", "11,-1", "9,2"])
+    @pytest.mark.parametrize("raw", ["1,2,3", "5,x", "11,-1", "9,2", "nan,10"])
     def test_bad_awards_exit_2(self, tiny_ini, tmp_path, raw, capsys):
         out = tmp_path / "out"
         assert run("contest", "--config", tiny_ini, "--out", str(out), "--awards", raw) == 2
@@ -302,6 +302,26 @@ class TestErrors:
         bad.write_text("[nope]\nx = 1\n")
         assert run("gen", "--config", str(bad)) == 2
         assert "unknown config section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, old, new",
+        [
+            ("contest", "pool = 10", "pool = nan"),
+            ("search", "pool = 10", "pool = inf"),
+            ("train", "pool = 10", "pool = nan"),
+            ("search", "step = 5", "step = nan"),
+            ("train", "[dqn]", "[dqn]\nlearning_rate = nan"),
+            ("train", "[dqn]", "[dqn]\nlearning_rate = inf"),
+            ("train", "[dqn]", "[dqn]\nreward_scale = nan"),
+        ],
+        ids=["contest-pool-nan", "search-pool-inf", "train-pool-nan", "search-step-nan",
+             "train-learning_rate-nan", "train-learning_rate-inf", "train-reward_scale-nan"],
+    )
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, command, old, new):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY_INI.replace(old, new))
+        assert run(command, "--config", str(ini), "--out", str(tmp_path / "out")) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

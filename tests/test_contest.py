@@ -8,7 +8,9 @@ import pytest
 
 from posecontest.contest import (
     CAPABILITY_FLOOR,
+    SELECTION_MODES,
     AwardSetting,
+    BestResponse,
     ContestantState,
     PopulationModel,
     ScenarioConfig,
@@ -16,7 +18,6 @@ from posecontest.contest import (
     divisors,
     expected_payment,
     population_from,
-    select_effort,
     simulate_contest,
     win_cdf,
 )
@@ -185,45 +186,42 @@ def replace_field(contestant, **kwargs):
     return ContestantState(**fields)
 
 
+def best_response(scenario, mode="net"):
+    pop = population_from(scenario.contestants)
+    return BestResponse(scenario.contestants, pop, scenario.n_contestants, mode)
+
+
 class TestSelectEffort:
     def test_equal_prizes_pick_cheapest_rate(self, tiny_scenario):
-        pop = population_from(tiny_scenario.contestants)
-        awards = AwardSetting((4.0, 4.0, 4.0))
-        for c in tiny_scenario.contestants:
-            assert select_effort(c, awards, pop, 3, "net") == 1
-            assert select_effort(c, awards, pop, 3, "payment") == 1
+        for mode in SELECTION_MODES:
+            assert best_response(tiny_scenario, mode).efforts((4.0, 4.0, 4.0)) == (1, 1, 1)
 
     def test_payment_mode_ignores_cost(self, tiny_scenario):
         # a single big prize makes zero loss worth chasing when effort is free
-        pop = population_from(tiny_scenario.contestants)
-        awards = AwardSetting((12.0, 0.0, 0.0))
-        for c in tiny_scenario.contestants:
-            assert select_effort(c, awards, pop, 3, "payment") == c.native_rate
+        efforts = best_response(tiny_scenario, "payment").efforts((12.0, 0.0, 0.0))
+        assert efforts == tuple(c.native_rate for c in tiny_scenario.contestants)
 
     def test_net_mode_charges_for_effort(self, tiny_scenario):
-        pop = population_from(tiny_scenario.contestants)
-        awards = AwardSetting((12.0, 0.0, 0.0))
         by_id = {c.user_id: c for c in tiny_scenario.contestants}
         # the near-static user's cost of going fast dwarfs the prize
         stand = by_id[3]
         assert stand.capability < 0.1
-        assert select_effort(stand, awards, pop, 3, "net") == 1
+        efforts = best_response(tiny_scenario, "net").efforts((12.0, 0.0, 0.0))
+        assert efforts[tiny_scenario.contestants.index(stand)] == 1
 
     def test_result_is_admissible(self, tiny_scenario):
-        pop = population_from(tiny_scenario.contestants)
+        kernel = best_response(tiny_scenario)
         rng = np.random.default_rng(5)
         for _ in range(20):
             cuts = np.sort(rng.integers(0, 13, size=2))
             parts = (12 - int(cuts[1]), int(cuts[1]) - int(cuts[0]), int(cuts[0]))
-            awards = AwardSetting(tuple(sorted((float(p) for p in parts), reverse=True)))
-            for c in tiny_scenario.contestants:
-                assert select_effort(c, awards, pop, 3) in c.effort_set
+            prizes = tuple(sorted((float(p) for p in parts), reverse=True))
+            for c, f in zip(tiny_scenario.contestants, kernel.efforts(prizes)):
+                assert f in c.effort_set
 
     def test_unknown_mode(self, tiny_scenario):
-        pop = population_from(tiny_scenario.contestants)
-        c = tiny_scenario.contestants[0]
         with pytest.raises(ValueError, match="unknown selection mode"):
-            select_effort(c, AwardSetting((1.0,)), pop, 3, "greedy")
+            best_response(tiny_scenario, "greedy")
 
 
 class TestScenarioConfig:
@@ -251,9 +249,8 @@ class TestScenarioConfig:
 class TestSimulateContest:
     def test_outcome_is_consistent(self, tiny_scenario):
         outcome = simulate_contest(tiny_scenario)
-        pop = population_from(tiny_scenario.contestants)
+        assert outcome.efforts == best_response(tiny_scenario).efforts(tiny_scenario.awards.prizes)
         for c, f, loss in zip(tiny_scenario.contestants, outcome.efforts, outcome.per_user_loss):
-            assert f == select_effort(c, tiny_scenario.awards, pop, 3, "net")
             assert loss == c.loss_table[f]
         assert outcome.total_loss == pytest.approx(sum(outcome.per_user_loss))
         assert outcome.feasible == (sum(outcome.efforts) <= tiny_scenario.budget)

@@ -104,8 +104,9 @@ class TestEnv:
         state = env.initial_state()
         nxt, r = env.step(state, (1, 0, -1))
         assert nxt.prizes == (5.0, 4.0, 3.0)
-        if env.is_feasible(nxt):
-            assert r == pytest.approx(1.0 / max(env.total_loss_of(nxt), 1e-9))
+        _, loss, feasible = tiny_scenario.round_loss(nxt.efforts)
+        if feasible:
+            assert r == pytest.approx(1.0 / max(loss, 1e-9))
         else:
             assert r == 0.0
 
@@ -123,8 +124,9 @@ class TestEnv:
         expected = sum(
             c.loss_table[f] for c, f in zip(tiny_scenario.contestants, state.efforts)
         )
-        assert env.total_loss_of(state) == pytest.approx(expected)
-        assert env.is_feasible(state) == (sum(state.efforts) <= tiny_scenario.budget)
+        per_user, total, feasible = tiny_scenario.round_loss(state.efforts)
+        assert sum(per_user) == total == pytest.approx(expected)
+        assert feasible == (sum(state.efforts) <= tiny_scenario.budget)
 
     def test_validation(self, tiny_scenario):
         with pytest.raises(ValueError, match="reward mode"):
@@ -349,11 +351,12 @@ class TestTraining:
         env = ContestEnv(tiny_scenario)
         ev = evaluate_policy(net, env, steps=10)
         assert ev.steps == 10
-        assert ev.final_total_loss == pytest.approx(env.total_loss_of(ev.final_state))
+        _, final_loss, final_feasible = tiny_scenario.round_loss(ev.final_state.efforts)
+        assert (ev.final_total_loss, ev.final_feasible) == (final_loss, final_feasible)
         # the equal-split start is feasible here, so a best state must exist
         assert ev.best_state is not None
-        assert env.is_feasible(ev.best_state)
-        assert ev.best_total_loss <= env.total_loss_of(env.initial_state())
+        assert tiny_scenario.round_loss(ev.best_state.efforts)[1:] == (ev.best_total_loss, True)
+        assert ev.best_total_loss <= tiny_scenario.round_loss(env.initial_state().efforts)[1]
 
     def test_evaluate_policy_zero_steps(self, tiny_scenario):
         env = ContestEnv(tiny_scenario)

@@ -10,7 +10,6 @@ from posecontest.skeleton import (
     DEFAULT_PROFILES,
     JOINT_COUNT,
     JOINT_NAMES,
-    Keypoint3,
     MotionProfile,
     QuantBounds,
     SequenceFormatError,
@@ -42,16 +41,6 @@ class TestTypes:
         assert JOINT_NAMES[0] == "nose"
         assert all(JOINT_NAMES[j].endswith(("shoulder", "elbow", "wrist")) for j in ARM_JOINTS)
 
-    def test_keypoint_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Keypoint3(0.0, math.nan, 0.0)
-        with pytest.raises(ValueError):
-            Keypoint3(math.inf, 0.0, 0.0)
-
-    def test_keypoint_as_array(self):
-        kp = Keypoint3(1.0, -2.0, 0.5)
-        assert np.array_equal(kp.as_array(), [1.0, -2.0, 0.5])
-
     def test_frame_validation(self):
         frame = SkeletonFrame(np.zeros((4, 3)))
         assert frame.joint_count == 4
@@ -61,11 +50,6 @@ class TestTypes:
             SkeletonFrame(np.zeros((0, 3)))
         with pytest.raises(ValueError):
             SkeletonFrame(np.full((2, 3), np.nan))
-
-    def test_frame_keypoint(self):
-        frame = SkeletonFrame(np.arange(6, dtype=float).reshape(2, 3))
-        kp = frame.keypoint(1)
-        assert (kp.x, kp.y, kp.z) == (3.0, 4.0, 5.0)
 
     def test_sequence_validation(self):
         seq = make_sequence(np.zeros((2, 3, 3)))
@@ -79,12 +63,6 @@ class TestTypes:
             SkeletonSequence(np.zeros((2, 3, 3)), 0)
         with pytest.raises(ValueError):
             SkeletonSequence(np.zeros((2, 3, 3)), 1.5)
-
-    def test_sequence_frame_is_a_copy(self):
-        seq = make_sequence(np.zeros((2, 3, 3)))
-        frame = seq.frame(0)
-        frame.coords[0, 0] = 9.0
-        assert seq.coords[0, 0, 0] == 0.0
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -332,8 +310,8 @@ class TestCodec:
         seq = generate_synthetic(get_profile("wave"), 4, 2, seed=1)
         payload = encode_sequence(seq)
         assert len(payload) == 4 * 51
-        assert payload[:51] == encode_frame(seq.frame(0))
-        assert payload[51:102] == encode_frame(seq.frame(1))
+        for i in range(4):
+            assert payload[51 * i:51 * (i + 1)] == encode_frame(SkeletonFrame(seq.coords[i]))
 
     def test_compression_ratio(self):
         assert compression_ratio(100, 10, 8, 1) == pytest.approx(1000.0 / 3.0)
