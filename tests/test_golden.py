@@ -1,10 +1,11 @@
-"""Golden digests: the CLI's outputs, byte for byte, pinned by sha256.
+"""Golden digests: the CLI's outputs, byte for byte, pinned by sha256,
+and the effort floor's result by the digest of its repr.
 
 A refactor that claims to leave behaviour unchanged must leave these digests
 unchanged.  The training and compare outputs pass through BLAS matrix
 products, so their digests hold for the environment they were pinned in:
 numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64.  The clip, codec, contest and
-search outputs use no BLAS.
+search outputs and the effort floor use no BLAS.
 """
 
 import hashlib
@@ -12,7 +13,9 @@ import hashlib
 import pytest
 
 from posecontest.cli import main as cli_main
-from test_acceptance import SMALL_INI
+from posecontest.config import RunConfig, build_scenario
+from posecontest.oracle import exhaustive_effort_search
+from test_acceptance import SMALL, SMALL_INI
 
 
 def digest(path) -> str:
@@ -104,3 +107,26 @@ def test_codec_payload(tmp_path, capsys, source, payload, error_line):
     assert cli_main(argv) == 0
     assert digest(tmp_path / "codec" / "payload.bin") == payload
     assert error_line in capsys.readouterr().out.splitlines()
+
+
+# The effort floor is the exact minimum, but among equal losses it must also
+# keep the same rate profile and the same float, so repr() is pinned.
+FIVE_USERS = RunConfig(
+    users=5, budget=150, pool=125.0, profiles=("run", "dance", "wave", "stand", "run")
+)
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        (RunConfig(seed=0), "9a5a7f352b50c1626df024931c6a3a00e5cb6c07181dbd3d5e9eceb5e047910a"),
+        (RunConfig(seed=1), "6c4e033e078ee4fa6412623236e64db170da32c6c1113a61a3aa4e017ac480ec"),
+        (RunConfig(seed=2), "cd56a612a6e9ca304ffe54d16a1994bee2f7a8fac197b0469da0d183b978c541"),
+        (SMALL, "dfe2d48295e0fabc603ba26e0171d7a64d33705a0911b4bfc4f01de64679582d"),
+        (FIVE_USERS, "ca1cc1ebc44c92d7f14589f11761e709f1354347cf8d08f861f4ad5dc8c800f3"),
+    ],
+    ids=["default-seed0", "default-seed1", "default-seed2", "small", "five-users"],
+)
+def test_effort_floor(cfg, expected):
+    floor = repr(exhaustive_effort_search(build_scenario(cfg)))
+    assert hashlib.sha256(floor.encode("utf-8")).hexdigest() == expected
