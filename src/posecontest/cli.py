@@ -157,7 +157,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         dqn_loss = evaluation.final_total_loss
         dqn_efforts = evaluation.final_state.efforts
-    floor_efforts, floor_loss = exhaustive_effort_search(scenario, cfg.effort_cap)
+    floor_efforts, floor_loss = exhaustive_effort_search(scenario)
 
     def reduction(loss: float) -> float:
         return 100.0 * (base_loss - loss) / base_loss

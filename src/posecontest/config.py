@@ -10,7 +10,7 @@ Config files are INI-style with one section per concern:
                 epsilon_end, epsilon_decay, target_sync, reward_mode,
                 reward_scale
     [codec]     lo, hi, image_width, image_height, image_bits
-    [search]    step, effort_cap
+    [search]    step
 
 Every key is optional and falls back to the defaults below; unknown sections
 or keys are rejected rather than ignored.
@@ -57,7 +57,6 @@ class RunConfig:
     image_height: int = 1908
     image_bits: int = 32
     search_step: float = 5.0
-    effort_cap: int = 10_000_000
 
     def __post_init__(self):
         if self.users < 1:
@@ -70,8 +69,8 @@ class RunConfig:
             raise ConfigError("frame_count must be at least 1")
         if self.budget < 1:
             raise ConfigError("budget must be at least 1")
-        if self.pool <= 0:
-            raise ConfigError("pool must be positive")
+        if not math.isfinite(self.pool) or self.pool <= 0:
+            raise ConfigError("pool must be finite and positive")
         if len(self.profiles) != self.users:
             raise ConfigError(
                 f"profiles lists {len(self.profiles)} entries for {self.users} users"
@@ -80,6 +79,10 @@ class RunConfig:
             if kind not in DEFAULT_PROFILES:
                 available = ", ".join(sorted(DEFAULT_PROFILES))
                 raise ConfigError(f"unknown profile {kind!r}; available: {available}")
+            if min(DEFAULT_PROFILES[kind].active_joints) >= self.joint_count:
+                raise ConfigError(
+                    f"profile {kind!r} has no active joint below joint_count={self.joint_count}"
+                )
         if self.selection_mode not in SELECTION_MODES:
             raise ConfigError(
                 f"unknown selection_mode {self.selection_mode!r}; expected one of {SELECTION_MODES}"
@@ -90,10 +93,8 @@ class RunConfig:
             )
         if self.image_width < 1 or self.image_height < 1 or self.image_bits < 1:
             raise ConfigError("image dimensions must be positive")
-        if self.search_step <= 0:
-            raise ConfigError("search step must be positive")
-        if self.effort_cap < 1:
-            raise ConfigError("effort_cap must be at least 1")
+        if not math.isfinite(self.search_step) or self.search_step <= 0:
+            raise ConfigError("search step must be finite and positive")
 
     def dqn_config(self) -> DqnConfig:
         """The DQN settings with the run seed threaded through."""
@@ -142,10 +143,7 @@ def _to_int(raw: str) -> int:
 
 
 def _to_float(raw: str) -> float:
-    value = float(raw.strip())
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {raw!r}")
-    return value
+    return float(raw.strip())
 
 
 def _to_str(raw: str) -> str:
@@ -201,7 +199,6 @@ _SCHEMA = {
     },
     "search": {
         "step": _to_float,
-        "effort_cap": _to_int,
     },
 }
 

@@ -294,9 +294,7 @@ class ContestOutcome:
     feasible: bool
 
 
-def simulate_contest(
-    scenario: ScenarioConfig, population: PopulationModel | None = None
-) -> ContestOutcome:
+def simulate_contest(scenario: ScenarioConfig) -> ContestOutcome:
     """Play one round: users pick rates, ranks and prizes are assigned.
 
     Ranking is by upload rate (descending), ties by capability (descending),
@@ -304,7 +302,7 @@ def simulate_contest(
     rates fit the budget; prizes are assigned either way, the flag just
     records the violation.
     """
-    pop = population if population is not None else population_from(scenario.contestants)
+    pop = population_from(scenario.contestants)
     efforts = BestResponse(
         scenario.contestants, pop, scenario.n_contestants, scenario.selection_mode
     ).efforts(scenario.awards.prizes)

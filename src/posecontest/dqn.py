@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contest import BestResponse, PopulationModel, ScenarioConfig, population_from
+from .contest import BestResponse, ScenarioConfig, population_from
 
 REWARD_MODES = ("strict", "full_budget")
 
@@ -112,7 +112,6 @@ class ContestEnv:
     def __init__(
         self,
         scenario: ScenarioConfig,
-        population: PopulationModel | None = None,
         reward_mode: str = "strict",
         reward_scale: float = 1.0,
     ):
@@ -123,14 +122,14 @@ class ContestEnv:
         if scenario.awards.pool <= 0:
             raise ValueError("prize pool must be positive")
         self.scenario = scenario
-        self.population = population if population is not None else population_from(scenario.contestants)
         self.reward_mode = reward_mode
         self.reward_scale = reward_scale
         self.actions = enumerate_actions(scenario.n_contestants)
         self.pool = scenario.awards.pool
         self._rates = np.array([c.native_rate for c in scenario.contestants], dtype=np.float64)
+        pop = population_from(scenario.contestants)
         self.responses = BestResponse(
-            scenario.contestants, self.population, scenario.n_contestants, scenario.selection_mode
+            scenario.contestants, pop, scenario.n_contestants, scenario.selection_mode
         )
 
     @property
@@ -343,8 +342,8 @@ class DqnConfig:
             raise ValueError("hidden_sizes must be positive and non-empty")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError("learning_rate must be finite and positive")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0.0 < self.epsilon_decay <= 1.0:
@@ -353,8 +352,8 @@ class DqnConfig:
             raise ValueError("target_sync must be positive")
         if self.reward_mode not in REWARD_MODES:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
-        if self.reward_scale <= 0:
-            raise ValueError("reward_scale must be positive")
+        if not math.isfinite(self.reward_scale) or self.reward_scale <= 0:
+            raise ValueError("reward_scale must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .contest import BestResponse, ScenarioConfig, population_from
-
-EFFORT_SEARCH_CAP = 10_000_000
 
 
 def award_grid(pool: float, n_contestants: int, step: float) -> tuple[tuple[float, ...], ...]:
@@ -97,33 +94,36 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     )
 
 
-def exhaustive_effort_search(
-    scenario: ScenarioConfig, cap: int = EFFORT_SEARCH_CAP
-) -> tuple[tuple[int, ...], float]:
+def exhaustive_effort_search(scenario: ScenarioConfig) -> tuple[tuple[int, ...], float]:
     """Lowest total loss over every admissible effort combination in budget.
 
     This ignores incentives entirely; it is the physical floor any prize
-    vector is bounded by.  Refuses to enumerate more than cap combinations.
+    vector is bounded by.  A multiple-choice knapsack over the budget adds
+    users in field order and keeps, for each total rate spent, the least
+    (loss, rates) pair.  Losses are summed in field order from 0 as in the
+    round's own total, and rounded addition is monotone, so the minimum is
+    the same float an enumeration finds.  Comparing whole pairs gives ties to
+    the lexicographically smallest rates, unless only rounding made the tie:
+    after 0.4 + 0.2 and 0.3 + 0.3, the smaller partial sum is kept.
     """
-    sizes = [len(c.effort_set) for c in scenario.contestants]
-    combos = math.prod(sizes)
-    if combos > cap:
-        raise ValueError(f"search space {combos} exceeds cap {cap}")
-    best_efforts = None
-    best_loss = math.inf
-    for efforts in itertools.product(*(c.effort_set for c in scenario.contestants)):
-        if sum(efforts) > scenario.budget:
-            continue
-        loss = sum(c.loss_table[f] for c, f in zip(scenario.contestants, efforts))
-        if loss < best_loss:
-            best_efforts = efforts
-            best_loss = loss
-    if best_efforts is None:
+    best = {0: (0, ())}  # spent -> (prefix loss, prefix rates)
+    for c in scenario.contestants:
+        grown: dict[int, tuple] = {}
+        for spent, (loss, rates) in best.items():
+            for f in c.effort_set:  # ascending
+                if spent + f > scenario.budget:
+                    break
+                candidate = (loss + c.loss_table[f], rates + (f,))
+                if spent + f not in grown or candidate < grown[spent + f]:
+                    grown[spent + f] = candidate
+        best = grown
+    if not best:
         raise ValueError(
             f"budget {scenario.budget} is below the minimum total effort "
             f"{scenario.n_contestants}"
         )
-    return best_efforts, float(best_loss)
+    loss, efforts = min(best.values())
+    return efforts, float(loss)
 
 
 def average_baseline(scenario: ScenarioConfig) -> tuple[tuple[int, ...], float]:

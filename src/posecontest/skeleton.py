@@ -312,18 +312,6 @@ def downsampling_loss(sequence: SkeletonSequence, upload_rate: int, method: str 
     return math.sqrt(total / sequence.frame_count)
 
 
-def motion_difference(sequence: SkeletonSequence) -> np.ndarray:
-    """Per-transition movement: sum over joints of the Euclidean step length.
-
-    Returns an array of length frame_count - 1; entry i covers the move from
-    frame i to frame i + 1.  Needs at least two frames.
-    """
-    if sequence.frame_count < 2:
-        raise ValueError("motion_difference needs at least two frames")
-    steps = np.linalg.norm(np.diff(sequence.coords, axis=0), axis=2)
-    return steps.sum(axis=1)
-
-
 # --- frame codec ---------------------------------------------------------
 
 
@@ -476,12 +464,10 @@ def _load_csv(data: bytes, native_rate: int, user_label: str) -> SkeletonSequenc
             raise SequenceFormatError(
                 f"inconsistent joint count at frame {f}: expected {joint_count}, got {got}"
             )
+    # Distinct 1-based joints, joint_count per frame: each frame holds 1..joint_count.
     coords = np.empty((frame_count, joint_count, AXES))
-    for f in range(1, frame_count + 1):
-        for j in range(1, joint_count + 1):
-            if (f, j) not in seen:
-                raise SequenceFormatError(f"missing entry for frame {f}, joint {j}")
-            coords[f - 1, j - 1] = seen[(f, j)]
+    for (f, j), xyz in seen.items():
+        coords[f - 1, j - 1] = xyz
     return SkeletonSequence(coords, native_rate, user_label)
 
 

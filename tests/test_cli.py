@@ -121,7 +121,11 @@ class TestRunConfig:
             dict(render_method="spline"),
             dict(image_width=0),
             dict(search_step=0.0),
-            dict(effort_cap=0),
+            dict(pool=float("nan")),
+            dict(pool=float("inf")),
+            dict(search_step=float("nan")),
+            dict(search_step=float("inf")),
+            dict(joint_count=3, users=1, profiles=("wave",)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -210,6 +214,22 @@ class TestTrainCompare:
         assert methods == ["average_baseline", "dqn_policy", "effort_floor"]
         out_text = capsys.readouterr().out
         assert "loss reduction vs baseline" in out_text
+
+    def test_seven_users(self, tmp_path):
+        # 12^7 rate profiles at the default native rate 60: too many to enumerate.
+        ini = tmp_path / "seven.ini"
+        ini.write_text(
+            "[scenario]\nusers = 7\nframe_count = 60\nbudget = 210\npool = 140\n"
+            "profiles = run, dance, wave, stand, run, dance, wave\n"
+            "[dqn]\nepisodes = 2\nsteps_per_episode = 5\nbatch_size = 4\n"
+            "buffer_capacity = 16\nhidden_sizes = 8\n"
+        )
+        out = tmp_path / "out"
+        assert run("train", "--config", str(ini), "--out", str(out)) == 0
+        assert run("compare", "--config", str(ini), "--out", str(out)) == 0
+        method, _, rates, _ = (out / "compare.csv").read_text().splitlines()[-1].split(",")
+        assert method == "effort_floor"
+        assert len(rates.split(" ")) == 7
 
     def test_compare_without_policy_exits_1(self, tiny_ini, tmp_path, capsys):
         out = tmp_path / "out"
@@ -322,6 +342,15 @@ class TestErrors:
         ini.write_text(TINY_INI.replace(old, new))
         assert run(command, "--config", str(ini), "--out", str(tmp_path / "out")) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_profile_without_joints_in_range_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY_INI.replace("profiles = run, stand", "profiles = run, wave")
+                       .replace("[scenario]", "[scenario]\njoint_count = 3"))
+        out = tmp_path / "out"
+        assert run("gen", "--config", str(ini), "--out", str(out)) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -313,12 +313,16 @@ class TestConfig:
             dict(discount=1.0),
             dict(discount=-0.1),
             dict(learning_rate=0.0),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
             dict(epsilon_start=1.5),
             dict(epsilon_end=0.5, epsilon_start=0.1),
             dict(epsilon_decay=0.0),
             dict(target_sync=0),
             dict(reward_mode="soft"),
             dict(reward_scale=0.0),
+            dict(reward_scale=float("nan")),
+            dict(reward_scale=float("inf")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

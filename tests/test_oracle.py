@@ -1,12 +1,13 @@
-"""Brute-force searches and the average-allocation baseline."""
+"""The prize-lattice search, the effort floor and the average-allocation baseline."""
 
 import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from posecontest.contest import simulate_contest
+from posecontest.contest import AwardSetting, ContestantState, ScenarioConfig, simulate_contest
 from posecontest.oracle import (
     average_baseline,
     award_grid,
@@ -14,6 +15,22 @@ from posecontest.oracle import (
     exhaustive_effort_search,
     format_search_ledger,
 )
+from posecontest.skeleton import DEFAULT_PROFILES, generate_synthetic, get_profile
+
+
+def random_field(seed):
+    """A seeded field of 2-4 users with native rates drawn from 6, 12 and 30,
+    at budget n (every user at rate 1), a budget in between, and the summed
+    native rates (no one held back)."""
+    rng = np.random.default_rng(seed)
+    contestants = []
+    for i, rate in enumerate(rng.choice([6, 12, 30], size=rng.integers(2, 5)).tolist()):
+        profile = get_profile(rng.choice(sorted(DEFAULT_PROFILES)))
+        clip = generate_synthetic(profile, 2 * rate, rate, seed=seed)
+        contestants.append(ContestantState.from_sequence(i + 1, clip, rng.choice(["hold", "linear"])))
+    n, native = len(contestants), sum(c.native_rate for c in contestants)
+    budgets = (n, int(rng.integers(n, native + 1)), native)
+    return [ScenarioConfig(contestants, b, AwardSetting((1.0,) * n)) for b in budgets]
 
 
 class TestAwardGrid:
@@ -111,28 +128,37 @@ class TestAwardSearch:
 
 class TestEffortSearch:
     def test_matches_brute_force(self, tiny_scenario):
-        efforts, loss = exhaustive_effort_search(tiny_scenario)
-        sets = [c.effort_set for c in tiny_scenario.contestants]
-        best = min(
-            (sum(c.loss_table[f] for c, f in zip(tiny_scenario.contestants, combo)), combo)
-            for combo in itertools.product(*sets)
-            if sum(combo) <= tiny_scenario.budget
-        )
-        assert loss == best[0]
-        assert efforts == best[1]
+        # Seed 5 gives a ragged field with native rates 6, 12 and 30.
+        scenarios = [tiny_scenario] + [s for seed in range(12) for s in random_field(seed)]
+        for i, scenario in enumerate(scenarios):
+            efforts, loss = exhaustive_effort_search(scenario)
+            sets = [c.effort_set for c in scenario.contestants]
+            best = min(
+                (sum(c.loss_table[f] for c, f in zip(scenario.contestants, combo)), combo)
+                for combo in itertools.product(*sets)
+                if sum(combo) <= scenario.budget
+            )
+            assert (loss, efforts) == best, i
+
+    def test_exact_ties_go_to_smallest_rates(self):
+        # Dyadic losses sum exactly: (1, 4, 2), (2, 1, 4) and (2, 4, 1) all lose 1.75.
+        clip = generate_synthetic(get_profile("run"), 8, 4)
+        tables = ((0.5, 0.25, 0.25), (1.0, 1.0, 0.5), (1.0, 0.75, 0.5))
+        field = [
+            replace(ContestantState.from_sequence(i + 1, clip), loss_table=dict(zip((1, 2, 4), t)))
+            for i, t in enumerate(tables)
+        ]
+        scenario = ScenarioConfig(field, 7, AwardSetting((1.0,) * 3))
+        assert exhaustive_effort_search(scenario) == ((1, 4, 2), 1.75)
 
     def test_beats_or_matches_any_award_setting(self, tiny_scenario):
         _, floor_loss = exhaustive_effort_search(tiny_scenario)
         result = exhaustive_award_search(tiny_scenario, 3.0)
         assert floor_loss <= result.best_total_loss
 
-    def test_cap_guard(self, tiny_scenario):
-        with pytest.raises(ValueError, match="cap"):
-            exhaustive_effort_search(tiny_scenario, cap=3)
-
     def test_budget_below_minimum(self, tiny_scenario):
         squeezed = replace(tiny_scenario, budget=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="below the minimum total effort"):
             exhaustive_effort_search(squeezed)
 
 

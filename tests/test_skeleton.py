@@ -25,7 +25,6 @@ from posecontest.skeleton import (
     generate_synthetic,
     get_profile,
     load_sequence,
-    motion_difference,
     save_sequence,
 )
 
@@ -235,30 +234,14 @@ class TestLoss:
                 assert downsampling_loss(seq, f) > 0.0, (kind, f)
 
 
-class TestMotionDifference:
-    def test_hand_value(self):
-        coords = np.zeros((2, 1, 3))
-        coords[1, 0] = [3.0, 4.0, 0.0]
-        seq = make_sequence(coords)
-        assert np.array_equal(motion_difference(seq), [5.0])
-
-    def test_sums_over_joints(self):
-        coords = np.zeros((3, 2, 3))
-        coords[1, 0, 0] = 1.0
-        coords[1, 1, 1] = 2.0
-        coords[2] = coords[1]
-        seq = make_sequence(coords)
-        assert np.array_equal(motion_difference(seq), [3.0, 0.0])
-
-    def test_needs_two_frames(self):
-        with pytest.raises(ValueError):
-            motion_difference(make_sequence(np.zeros((1, 2, 3))))
-
+class TestProfileCalibration:
     def test_profile_ordering(self):
+        # Mean per-transition movement: joint step lengths summed per frame.
         means = {}
         for kind in DEFAULT_PROFILES:
             seq = generate_synthetic(get_profile(kind), 120, 60, seed=0)
-            means[kind] = float(motion_difference(seq).mean())
+            steps = np.linalg.norm(np.diff(seq.coords, axis=0), axis=2)
+            means[kind] = float(steps.sum(axis=1).mean())
         assert means["run"] > means["dance"] > means["wave"] > means["stand"]
 
 
