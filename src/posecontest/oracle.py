@@ -110,9 +110,9 @@ def exhaustive_effort_search(scenario: ScenarioConfig) -> tuple[tuple[int, ...],
     for c in scenario.contestants:
         grown: dict[int, tuple] = {}
         for spent, (loss, rates) in best.items():
-            for f in c.effort_set:  # ascending
+            for f in c.effort_set:
                 if spent + f > scenario.budget:
-                    break
+                    break  # effort sets ascend, so every later rate is over too
                 candidate = (loss + c.loss_table[f], rates + (f,))
                 if spent + f not in grown or candidate < grown[spent + f]:
                     grown[spent + f] = candidate
