@@ -1,7 +1,11 @@
 """Config parsing and the command-line harness."""
 
+import dataclasses
+import re
+
 import pytest
 
+from posecontest import config
 from posecontest.cli import main
 from posecontest.config import (
     ConfigError,
@@ -11,8 +15,8 @@ from posecontest.config import (
     data_seed,
     parse_config,
 )
-from posecontest.dqn import load_policy
-from posecontest.skeleton import load_sequence
+from posecontest.dqn import DqnConfig, load_policy
+from posecontest.skeleton import QuantBounds, load_sequence
 
 TINY_INI = """\
 [run]
@@ -37,6 +41,61 @@ target_sync = 5
 [search]
 step = 5
 """
+
+
+# Every accepted key, each set away from its default.  Some float keys are
+# written as integers, so the test also pins that they still parse as floats.
+FULL_INI = """\
+[run]
+seed = 11
+out_dir = runs/full
+
+[scenario]
+users = 3
+native_rate = 12
+joint_count = 16
+frame_count = 48
+budget = 20
+pool = 30
+profiles = run, wave, stand
+selection_mode = payment
+render_method = linear
+
+[dqn]
+episodes = 7
+steps_per_episode = 9
+batch_size = 8
+buffer_capacity = 64
+hidden_sizes = 16, 12
+discount = 0.8
+learning_rate = 0.002
+epsilon_start = 0.9
+epsilon_end = 0.1
+epsilon_decay = 0.99
+target_sync = 25
+reward_mode = full_budget
+reward_scale = 2.5
+
+[codec]
+lo = -3
+hi = 1.5
+image_width = 640
+image_height = 480
+image_bits = 24
+
+[search]
+step = 3
+"""
+
+
+def _docstring_keys() -> dict[str, list[str]]:
+    """The section -> key names table in the config module's docstring."""
+    block = config.__doc__.split("one section per concern:")[1].split("Every key")[0]
+    parts = re.split(r"\[(\w+)\]", block)[1:]
+    return {
+        section: sorted(key.strip() for key in keys.split(","))
+        for section, keys in zip(parts[::2], parts[1::2])
+    }
 
 
 @pytest.fixture
@@ -66,6 +125,68 @@ class TestParseConfig:
         assert cfg.dqn.episodes == 2
         assert cfg.dqn.hidden_sizes == (8,)
         assert cfg.search_step == 5.0
+
+    def test_every_key_parses_to_its_field(self):
+        expected = RunConfig(
+            seed=11,
+            out_dir="runs/full",
+            users=3,
+            native_rate=12,
+            joint_count=16,
+            frame_count=48,
+            budget=20,
+            pool=30.0,
+            profiles=("run", "wave", "stand"),
+            selection_mode="payment",
+            render_method="linear",
+            dqn=DqnConfig(
+                episodes=7,
+                steps_per_episode=9,
+                batch_size=8,
+                buffer_capacity=64,
+                hidden_sizes=(16, 12),
+                discount=0.8,
+                learning_rate=0.002,
+                epsilon_start=0.9,
+                epsilon_end=0.1,
+                epsilon_decay=0.99,
+                target_sync=25,
+                reward_mode="full_budget",
+                reward_scale=2.5,
+            ),
+            bounds=QuantBounds(lo=-3.0, hi=1.5),
+            image_width=640,
+            image_height=480,
+            image_bits=24,
+            search_step=3.0,
+        )
+        cfg = parse_config(FULL_INI)
+        pairs = [(cfg, expected, RunConfig()), (cfg.dqn, expected.dqn, DqnConfig()),
+                 (cfg.bounds, expected.bounds, QuantBounds())]
+        compared = 0
+        for got, want, default in pairs:
+            for f in dataclasses.fields(want):
+                value, wanted = getattr(got, f.name), getattr(want, f.name)
+                if f.name in ("dqn", "bounds") or (want is expected.dqn and f.name == "seed"):
+                    continue
+                assert value == wanted, f.name
+                assert type(value) is type(wanted), f.name
+                if isinstance(wanted, tuple):
+                    assert [type(v) for v in value] == [type(v) for v in wanted], f.name
+                assert wanted != getattr(default, f.name), f.name
+                compared += 1
+        assert compared == 30
+        assert cfg == expected
+
+    def test_known_keys_match_docstring(self):
+        documented = _docstring_keys()
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[misc]\nx = 1\n")
+        assert str(exc.value).split("known sections: ")[1].split(", ") == sorted(documented)
+        for section, keys in documented.items():
+            with pytest.raises(ConfigError) as exc:
+                parse_config(f"[{section}]\nnot_a_key = 1\n")
+            assert str(exc.value).split("known keys: ")[1].split(", ") == keys, section
 
     def test_codec_section_feeds_bounds(self):
         cfg = parse_config("[codec]\nlo = -1\nhi = 3\nimage_bits = 24\n")
