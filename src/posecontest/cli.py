@@ -40,10 +40,12 @@ from .skeleton import (
 )
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _write(cfg: RunConfig, name: str, data: bytes) -> str:
+    """Write one output file into the output directory; return its path."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, name)
     # Write-then-rename so readers never observe a half-written file.
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    fd, tmp = tempfile.mkstemp(dir=cfg.out_dir, prefix=".tmp-", suffix=name)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -52,11 +54,7 @@ def _atomic_write(path: str, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+    return path
 
 
 def _parse_awards(raw: str, cfg: RunConfig) -> AwardSetting:
@@ -76,8 +74,7 @@ def _parse_awards(raw: str, cfg: RunConfig) -> AwardSetting:
 def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
     for i, kind in enumerate(cfg.profiles):
         seq = user_clip(cfg, i)
-        path = _out_path(cfg, f"user{i + 1}.{args.format}")
-        _atomic_write(path, save_sequence(seq, args.format))
+        path = _write(cfg, f"user{i + 1}.{args.format}", save_sequence(seq, args.format))
         print(
             f"wrote {path}: {kind}, {seq.frame_count} frames, "
             f"{seq.joint_count} joints, {seq.native_rate} fps"
@@ -98,8 +95,7 @@ def cmd_contest(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"{c.user_id},{cfg.profiles[i]},{repr(c.capability)},{outcome.efforts[i]},"
             f"{repr(outcome.per_user_loss[i])},{repr(outcome.prize_by_user[i])},{rank_of[c.user_id]}"
         )
-    path = _out_path(cfg, "contest.csv")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    path = _write(cfg, "contest.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
     print(f"wrote {path}")
     print(f"awards: {', '.join(repr(p) for p in scenario.awards.prizes)}")
@@ -113,10 +109,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     scenario = build_scenario(cfg)
     net, history = train(scenario, cfg.dqn_config())
 
-    policy_path = _out_path(cfg, "policy.bin")
-    _atomic_write(policy_path, save_policy(net))
-    history_path = _out_path(cfg, "history.csv")
-    _atomic_write(history_path, format_history(history).encode("utf-8"))
+    policy_path = _write(cfg, "policy.bin", save_policy(net))
+    history_path = _write(cfg, "history.csv", format_history(history).encode("utf-8"))
 
     last = history[-1]
     print(f"wrote {policy_path} and {history_path}")
@@ -128,7 +122,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    policy_path = args.policy if args.policy is not None else _out_path(cfg, "policy.bin")
+    policy_path = args.policy if args.policy is not None else os.path.join(cfg.out_dir, "policy.bin")
     try:
         with open(policy_path, "rb") as fh:
             net = load_policy(fh.read())
@@ -160,7 +154,8 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     floor_efforts, floor_loss = exhaustive_effort_search(scenario)
 
     def reduction(loss: float) -> float:
-        return 100.0 * (base_loss - loss) / base_loss
+        # A baseline at every native rate loses nothing, so there is nothing to reduce.
+        return 100.0 * (base_loss - loss) / base_loss if base_loss else math.nan
 
     lines = ["method,total_loss,upload_rates,reduction_vs_baseline_pct"]
     for method, loss, efforts in (
@@ -170,8 +165,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     ):
         rates = " ".join(str(f) for f in efforts)
         lines.append(f"{method},{repr(loss)},{rates},{repr(reduction(loss))}")
-    path = _out_path(cfg, "compare.csv")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    path = _write(cfg, "compare.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
     print(f"wrote {path}")
     print(f"average baseline loss: {base_loss!r}")
@@ -193,8 +187,7 @@ def cmd_codec(cfg: RunConfig, args: argparse.Namespace) -> int:
         seq = user_clip(cfg, 0)
 
     payload = encode_sequence(seq, cfg.bounds)
-    path = _out_path(cfg, "payload.bin")
-    _atomic_write(path, payload)
+    path = _write(cfg, "payload.bin", payload)
 
     bytes_per_frame = 3 * seq.joint_count
     ratio = compression_ratio(cfg.image_width, cfg.image_height, cfg.image_bits, seq.joint_count)
@@ -218,8 +211,7 @@ def cmd_codec(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
     scenario = build_scenario(cfg)
     result = exhaustive_award_search(scenario, cfg.search_step)
-    path = _out_path(cfg, "search.csv")
-    _atomic_write(path, format_search_ledger(result).encode("utf-8"))
+    path = _write(cfg, "search.csv", format_search_ledger(result).encode("utf-8"))
 
     print(f"wrote {path}: {result.evaluated} prize vectors evaluated")
     if result.found_feasible:

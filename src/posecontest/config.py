@@ -12,8 +12,9 @@ Config files are INI-style with one section per concern:
     [codec]     lo, hi, image_width, image_height, image_bits
     [search]    step
 
-Every key is optional and falls back to the defaults below; unknown sections
-or keys are rejected rather than ignored.
+Every key is optional and falls back to its field's default below; a value
+must parse as that default's type, a list item by item.  Unknown sections or
+keys are rejected rather than ignored.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import configparser
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -138,73 +139,15 @@ def build_scenario(cfg: RunConfig) -> ScenarioConfig:
     )
 
 
-def _to_int(raw: str) -> int:
-    return int(raw.strip())
-
-
-def _to_float(raw: str) -> float:
-    return float(raw.strip())
-
-
-def _to_str(raw: str) -> str:
-    return raw.strip()
-
-
-def _to_str_tuple(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-def _to_int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-
-
-# section -> key -> (parser, assignment target)
-_SCHEMA = {
-    "run": {
-        "seed": _to_int,
-        "out_dir": _to_str,
-    },
-    "scenario": {
-        "users": _to_int,
-        "native_rate": _to_int,
-        "joint_count": _to_int,
-        "frame_count": _to_int,
-        "budget": _to_int,
-        "pool": _to_float,
-        "profiles": _to_str_tuple,
-        "selection_mode": _to_str,
-        "render_method": _to_str,
-    },
-    "dqn": {
-        "episodes": _to_int,
-        "steps_per_episode": _to_int,
-        "batch_size": _to_int,
-        "buffer_capacity": _to_int,
-        "hidden_sizes": _to_int_tuple,
-        "discount": _to_float,
-        "learning_rate": _to_float,
-        "epsilon_start": _to_float,
-        "epsilon_end": _to_float,
-        "epsilon_decay": _to_float,
-        "target_sync": _to_int,
-        "reward_mode": _to_str,
-        "reward_scale": _to_float,
-    },
-    "codec": {
-        "lo": _to_float,
-        "hi": _to_float,
-        "image_width": _to_int,
-        "image_height": _to_int,
-        "image_bits": _to_int,
-    },
-    "search": {
-        "step": _to_float,
-    },
-}
-
-# config key -> RunConfig field, where the names differ
-_FIELD_ALIASES = {
-    ("search", "step"): "search_step",
+# section -> the keys it accepts.  Each value parses as the type of its
+# field's default, tuples item by item; [search] step sets search_step.
+_SECTIONS = {
+    "run": ("seed", "out_dir"),
+    "scenario": ("users", "native_rate", "joint_count", "frame_count", "budget", "pool",
+                 "profiles", "selection_mode", "render_method"),
+    "dqn": tuple(f.name for f in fields(DqnConfig) if f.name != "seed"),
+    "codec": ("lo", "hi", "image_width", "image_height", "image_bits"),
+    "search": ("step",),
 }
 
 
@@ -221,36 +164,36 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
 
-    values: dict[str, object] = {}
-    dqn_values: dict[str, object] = {}
-    codec_values: dict[str, object] = {}
+    values: dict[type, dict[str, object]] = {RunConfig: {}, DqnConfig: {}, QuantBounds: {}}
     for section in parser.sections():
-        if section not in _SCHEMA:
-            known = ", ".join(sorted(_SCHEMA))
+        if section not in _SECTIONS:
+            known = ", ".join(sorted(_SECTIONS))
             raise ConfigError(f"unknown config section [{section}]; known sections: {known}")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                known = ", ".join(sorted(_SCHEMA[section]))
+            if key not in _SECTIONS[section]:
+                known = ", ".join(sorted(_SECTIONS[section]))
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}]; known keys: {known}"
                 )
+            owner = DqnConfig if section == "dqn" else QuantBounds if key in ("lo", "hi") else RunConfig
+            name = "search_step" if section == "search" else key
+            default = getattr(owner, name)
             try:
-                value = _SCHEMA[section][key](raw)
+                if isinstance(default, tuple):
+                    parts = (part.strip() for part in raw.split(","))
+                    value = tuple(type(default[0])(part) for part in parts if part)
+                else:
+                    value = type(default)(raw.strip())
             except ValueError:
                 raise ConfigError(
                     f"bad value for {key!r} in section [{section}]: {raw!r}"
                 ) from None
-            if section == "dqn":
-                dqn_values[key] = value
-            elif section == "codec" and key in ("lo", "hi"):
-                codec_values[key] = value
-            else:
-                values[_FIELD_ALIASES.get((section, key), key)] = value
+            values[owner][name] = value
 
     try:
-        dqn = DqnConfig(**dqn_values)
-        bounds = QuantBounds(**codec_values)
-        return RunConfig(dqn=dqn, bounds=bounds, **values)
+        dqn = DqnConfig(**values[DqnConfig])
+        bounds = QuantBounds(**values[QuantBounds])
+        return RunConfig(dqn=dqn, bounds=bounds, **values[RunConfig])
     except ConfigError:
         raise
     except ValueError as exc:

@@ -193,25 +193,20 @@ def population_from(contestants: list[ContestantState]) -> PopulationModel:
 class BestResponse:
     """Every user's best-response upload rate on one field, for any prize vector.
 
-    The opponent model is fixed for the field, so the per-rank factors of
-    expected_payment at every user's every rate, and the effort costs, are
-    tabled once.  Payments then accumulate rank by rank in expected_payment's
-    own operation order, so the rates match the scalar path bit for bit.
+    The opponent model is calibrated to the field once (population_from), so
+    the per-rank factors of expected_payment at every user's every rate, and
+    the effort costs, are tabled once.  Payments then accumulate rank by rank
+    in expected_payment's own operation order, so the rates match the scalar
+    path bit for bit.
     Mode "net" maximizes expected payment minus effort cost; mode "payment"
     maximizes expected payment alone.  Ties go to the lowest rate.
     """
 
-    def __init__(
-        self,
-        contestants: list[ContestantState],
-        population: PopulationModel,
-        n_contestants: int,
-        mode: str = "net",
-    ):
+    def __init__(self, contestants: list[ContestantState], mode: str = "net"):
         if mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {mode!r}; expected one of {SELECTION_MODES}")
-        if n_contestants < 1:
-            raise ValueError("n_contestants must be at least 1")
+        population = population_from(contestants)
+        n_contestants = len(contestants)
         self.rates = [c.effort_set for c in contestants]
         # Ragged effort sets are padded on the right with scores of -inf.
         shape = (len(contestants), max(len(rates) for rates in self.rates))
@@ -302,10 +297,7 @@ def simulate_contest(scenario: ScenarioConfig) -> ContestOutcome:
     rates fit the budget; prizes are assigned either way, the flag just
     records the violation.
     """
-    pop = population_from(scenario.contestants)
-    efforts = BestResponse(
-        scenario.contestants, pop, scenario.n_contestants, scenario.selection_mode
-    ).efforts(scenario.awards.prizes)
+    efforts = BestResponse(scenario.contestants, scenario.selection_mode).efforts(scenario.awards.prizes)
     order = sorted(
         range(scenario.n_contestants),
         key=lambda i: (-efforts[i], -scenario.contestants[i].capability, scenario.contestants[i].user_id),

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contest import BestResponse, ScenarioConfig, population_from
+from .contest import BestResponse, ScenarioConfig
 
 REWARD_MODES = ("strict", "full_budget")
 
@@ -71,7 +71,7 @@ def apply_action(prizes: tuple[float, ...], action: tuple[int, ...]) -> tuple[fl
 def reward(
     efforts: tuple[int, ...],
     prizes: tuple[float, ...],
-    losses: tuple[float, ...],
+    total_loss: float,
     budget: int,
     pool: float,
     mode: str = "strict",
@@ -95,15 +95,18 @@ def reward(
         violated = total_effort < budget or paid > pool + tol
     if violated:
         return 0.0
-    return scale / max(sum(losses), REWARD_LOSS_FLOOR)
+    return scale / max(total_loss, REWARD_LOSS_FLOOR)
 
 
 @dataclass(frozen=True)
 class EnvState:
-    """Prize vector plus the upload rates it currently induces."""
+    """Prize vector, the upload rates it induces, and that round's total loss
+    and budget feasibility."""
 
     prizes: tuple[float, ...]
     efforts: tuple[int, ...]
+    total_loss: float
+    feasible: bool
 
 
 class ContestEnv:
@@ -127,10 +130,7 @@ class ContestEnv:
         self.actions = enumerate_actions(scenario.n_contestants)
         self.pool = scenario.awards.pool
         self._rates = np.array([c.native_rate for c in scenario.contestants], dtype=np.float64)
-        pop = population_from(scenario.contestants)
-        self.responses = BestResponse(
-            scenario.contestants, pop, scenario.n_contestants, scenario.selection_mode
-        )
+        self.responses = BestResponse(scenario.contestants, scenario.selection_mode)
 
     @property
     def n_actions(self) -> int:
@@ -143,18 +143,21 @@ class ContestEnv:
     def initial_state(self) -> EnvState:
         """Equal split: the neutral, pool-preserving starting point."""
         n = self.scenario.n_contestants
-        prizes = (self.pool / n,) * n
-        return EnvState(prizes, self.responses.efforts(prizes))
+        return self._state((self.pool / n,) * n)
 
     def step(self, state: EnvState, action: tuple[int, ...]) -> tuple[EnvState, float]:
         """Apply one prize move, let users re-pick rates, score the round."""
-        prizes = apply_action(state.prizes, action)
-        efforts = self.responses.efforts(prizes)
-        losses, _, _ = self.scenario.round_loss(efforts)
+        nxt = self._state(apply_action(state.prizes, action))
         r = reward(
-            efforts, prizes, losses, self.scenario.budget, self.pool, self.reward_mode, self.reward_scale
+            nxt.efforts, nxt.prizes, nxt.total_loss, self.scenario.budget, self.pool,
+            self.reward_mode, self.reward_scale,
         )
-        return EnvState(prizes, efforts), r
+        return nxt, r
+
+    def _state(self, prizes: tuple[float, ...]) -> EnvState:
+        # The one place a state's round is scored.
+        efforts = self.responses.efforts(prizes)
+        return EnvState(prizes, efforts, *self.scenario.round_loss(efforts)[1:])
 
     def state_vector(self, state: EnvState) -> np.ndarray:
         """Network input: prizes normalized by pool, rates by native rate."""
@@ -411,7 +414,7 @@ def train(scenario: ScenarioConfig, config: DqnConfig = DqnConfig()) -> tuple[Ml
             EpisodeRecord(
                 episode=episode,
                 mean_reward=reward_sum / config.steps_per_episode,
-                total_loss=scenario.round_loss(state.efforts)[1],
+                total_loss=state.total_loss,
                 epsilon=epsilon,
             )
         )
@@ -441,27 +444,19 @@ def evaluate_policy(net: Mlp, env: ContestEnv, steps: int = 100) -> PolicyEvalua
     if steps < 0:
         raise ValueError("steps must be non-negative")
     state = env.initial_state()
-    best_state = None
-    best_loss = math.inf
-
-    def visit(s: EnvState) -> tuple[float, bool]:
-        nonlocal best_state, best_loss
-        _, loss, feasible = env.scenario.round_loss(s.efforts)
-        if feasible and loss < best_loss:
-            best_state, best_loss = s, loss
-        return loss, feasible
-
-    final_loss, final_feasible = visit(state)
+    best_state = state if state.feasible else None
     for _ in range(steps):
         action_index = greedy_action(net, env.state_vector(state))
         state, _ = env.step(state, env.actions[action_index])
-        final_loss, final_feasible = visit(state)
+        # Strictly lower, so the earliest-visited state wins a tie.
+        if state.feasible and (best_state is None or state.total_loss < best_state.total_loss):
+            best_state = state
     return PolicyEvaluation(
         final_state=state,
-        final_total_loss=final_loss,
-        final_feasible=final_feasible,
+        final_total_loss=state.total_loss,
+        final_feasible=state.feasible,
         best_state=best_state,
-        best_total_loss=best_loss,
+        best_total_loss=math.inf if best_state is None else best_state.total_loss,
         steps=steps,
     )
 

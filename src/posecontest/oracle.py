@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .contest import BestResponse, ScenarioConfig, population_from
+from .contest import BestResponse, ScenarioConfig
 
 
 def award_grid(pool: float, n_contestants: int, step: float) -> tuple[tuple[float, ...], ...]:
@@ -76,8 +76,7 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     smallest prize vector.  The population model is calibrated once from the
     enrolled field so every vector is judged against the same opponents.
     """
-    pop = population_from(scenario.contestants)
-    responses = BestResponse(scenario.contestants, pop, scenario.n_contestants, scenario.selection_mode)
+    responses = BestResponse(scenario.contestants, scenario.selection_mode)
     entries = []
     best: SearchEntry | None = None
     for prizes in award_grid(scenario.awards.pool, scenario.n_contestants, step):

@@ -66,7 +66,7 @@ def mismatches(contestants, prize_vectors, mode):
     chosen rate or, to the last bit, on any expected payment."""
     pop = population_from(contestants)
     n = len(contestants)
-    kernel = BestResponse(contestants, pop, n, mode)
+    kernel = BestResponse(contestants, mode)
     bad = []
     for prizes in prize_vectors:
         awards = AwardSetting(prizes)
@@ -116,9 +116,7 @@ def test_ragged_field(ragged_field, mode):
 def test_prize_vector_shorter_than_field(default_scenario, mode):
     vectors = [(100.0,), (60.0, 40.0), (50.0, 30.0, 20.0), (34.0, 33.0, 33.0)]
     assert mismatches(default_scenario.contestants, vectors, mode) == []
-    kernel = BestResponse(
-        default_scenario.contestants, population_from(default_scenario.contestants), 4, mode
-    )
+    kernel = BestResponse(default_scenario.contestants, mode)
     with pytest.raises(ValueError, match="count <= n"):
         kernel.efforts((20.0,) * 5)
 
@@ -133,12 +131,12 @@ def test_equal_split_ties_go_to_rate_one(default_scenario, mode):
         payments = [reference_payment(c.loss_table[f], awards, 4, pop) for f in c.effort_set]
         assert max(payments) - min(payments) <= SCORE_TIE_REL_TOL * 25.0
     assert mismatches(contestants, [awards.prizes], mode) == []
-    assert BestResponse(contestants, pop, 4, mode).efforts(awards.prizes) == (1, 1, 1, 1)
+    assert BestResponse(contestants, mode).efforts(awards.prizes) == (1, 1, 1, 1)
 
 
 def test_near_tie_below_one_goes_to_rate_one():
     # Payments this small differ by less than SCORE_TIE_REL_TOL, so the
     # tolerance's absolute floor, not its relative part, makes them ties.
     scenario = build_scenario(SMALL)
-    kernel = BestResponse(scenario.contestants, population_from(scenario.contestants), 3, "payment")
+    kernel = BestResponse(scenario.contestants, "payment")
     assert kernel.efforts((1e-9, 0.0, 0.0)) == (1, 1, 1)

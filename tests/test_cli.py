@@ -353,9 +353,23 @@ class TestTrainCompare:
         assert len(rates.split(" ")) == 7
 
     def test_compare_without_policy_exits_1(self, tiny_ini, tmp_path, capsys):
-        out = tmp_path / "out"
+        out = tmp_path / "a" / "b"
         assert run("compare", "--config", tiny_ini, "--out", str(out)) == 1
         assert "run the train command first" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_zero_baseline_loss(self, tmp_path, capsys):
+        # A budget of 2 users x native rate 6 lets the equal split upload
+        # every frame, so the baseline loses nothing and no reduction exists.
+        ini = tmp_path / "full.ini"
+        ini.write_text(TINY_INI.replace("budget = 8", "budget = 12"))
+        out = tmp_path / "out"
+        assert run("train", "--config", str(ini), "--out", str(out)) == 0
+        assert run("compare", "--config", str(ini), "--out", str(out)) == 0
+        rows = [r.split(",") for r in (out / "compare.csv").read_text().splitlines()[1:]]
+        assert rows[0][:3] == ["average_baseline", "0.0", "6 6"]
+        assert [r[3] for r in rows] == ["nan"] * 3
+        assert "loss reduction vs baseline: nan%" in capsys.readouterr().out
 
     def test_compare_rejects_mismatched_policy(self, tiny_ini, tmp_path, capsys):
         out = tmp_path / "out"

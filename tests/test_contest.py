@@ -187,8 +187,7 @@ def replace_field(contestant, **kwargs):
 
 
 def best_response(scenario, mode="net"):
-    pop = population_from(scenario.contestants)
-    return BestResponse(scenario.contestants, pop, scenario.n_contestants, mode)
+    return BestResponse(scenario.contestants, mode)
 
 
 class TestSelectEffort:

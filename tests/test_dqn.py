@@ -62,27 +62,27 @@ class TestActions:
 
 class TestReward:
     def test_strict_mode(self):
-        losses = (0.5, 1.5)
-        assert reward((2, 2), (5.0, 5.0), losses, budget=4, pool=10.0) == 0.5
-        assert reward((3, 2), (5.0, 5.0), losses, budget=4, pool=10.0) == 0.0
-        assert reward((2, 2), (5.0, 4.0), losses, budget=4, pool=10.0) == 0.0
+        total_loss = 2.0
+        assert reward((2, 2), (5.0, 5.0), total_loss, budget=4, pool=10.0) == 0.5
+        assert reward((3, 2), (5.0, 5.0), total_loss, budget=4, pool=10.0) == 0.0
+        assert reward((2, 2), (5.0, 4.0), total_loss, budget=4, pool=10.0) == 0.0
 
     def test_full_budget_mode(self):
-        losses = (1.0, 1.0)
+        total_loss = 2.0
         kw = dict(budget=4, pool=10.0, mode="full_budget")
-        assert reward((2, 2), (5.0, 5.0), losses, **kw) == 0.5
-        assert reward((2, 1), (5.0, 5.0), losses, **kw) == 0.0
-        assert reward((3, 2), (5.0, 5.0), losses, **kw) == 0.5
-        assert reward((2, 2), (6.0, 5.0), losses, **kw) == 0.0
+        assert reward((2, 2), (5.0, 5.0), total_loss, **kw) == 0.5
+        assert reward((2, 1), (5.0, 5.0), total_loss, **kw) == 0.0
+        assert reward((3, 2), (5.0, 5.0), total_loss, **kw) == 0.5
+        assert reward((2, 2), (6.0, 5.0), total_loss, **kw) == 0.0
 
     def test_scale_and_floor(self):
-        assert reward((1,), (1.0,), (0.25,), 2, 1.0, scale=3.0) == 12.0
-        capped = reward((1,), (1.0,), (0.0,), 2, 1.0)
+        assert reward((1,), (1.0,), 0.25, 2, 1.0, scale=3.0) == 12.0
+        capped = reward((1,), (1.0,), 0.0, 2, 1.0)
         assert capped == pytest.approx(1e9)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown reward mode"):
-            reward((1,), (1.0,), (1.0,), 1, 1.0, mode="soft")
+            reward((1,), (1.0,), 1.0, 1, 1.0, mode="soft")
 
 
 class TestEnv:
@@ -105,6 +105,7 @@ class TestEnv:
         nxt, r = env.step(state, (1, 0, -1))
         assert nxt.prizes == (5.0, 4.0, 3.0)
         _, loss, feasible = tiny_scenario.round_loss(nxt.efforts)
+        assert (nxt.total_loss, nxt.feasible) == (loss, feasible)
         if feasible:
             assert r == pytest.approx(1.0 / max(loss, 1e-9))
         else:
@@ -125,8 +126,8 @@ class TestEnv:
             c.loss_table[f] for c, f in zip(tiny_scenario.contestants, state.efforts)
         )
         per_user, total, feasible = tiny_scenario.round_loss(state.efforts)
-        assert sum(per_user) == total == pytest.approx(expected)
-        assert feasible == (sum(state.efforts) <= tiny_scenario.budget)
+        assert sum(per_user) == total == state.total_loss == pytest.approx(expected)
+        assert feasible == state.feasible == (sum(state.efforts) <= tiny_scenario.budget)
 
     def test_validation(self, tiny_scenario):
         with pytest.raises(ValueError, match="reward mode"):
