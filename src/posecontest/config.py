@@ -60,6 +60,8 @@ class RunConfig:
     search_step: float = 5.0
 
     def __post_init__(self):
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         if self.users < 1:
             raise ConfigError("users must be at least 1")
         if self.native_rate < 1:

@@ -191,13 +191,13 @@ def population_from(contestants: list[ContestantState]) -> PopulationModel:
 
 
 class BestResponse:
-    """Every user's best-response upload rate on one field, for any prize vector.
+    """Every user's best-response upload rate on one field, for any prize vectors.
 
     The opponent model is calibrated to the field once (population_from), so
     the per-rank factors of expected_payment at every user's every rate, and
-    the effort costs, are tabled once.  Payments then accumulate rank by rank
-    in expected_payment's own operation order, so the rates match the scalar
-    path bit for bit.
+    the effort costs, are tabled once, rate-major.  Payments accumulate rank by
+    rank in expected_payment's own operation order, so they match it bit for
+    bit, and one tie scan over the rates serves a whole matrix of prize vectors.
     Mode "net" maximizes expected payment minus effort cost; mode "payment"
     maximizes expected payment alone.  Ties go to the lowest rate.
     """
@@ -207,37 +207,58 @@ class BestResponse:
             raise ValueError(f"unknown selection mode {mode!r}; expected one of {SELECTION_MODES}")
         population = population_from(contestants)
         n_contestants = len(contestants)
-        self.rates = [c.effort_set for c in contestants]
-        # Ragged effort sets are padded on the right with scores of -inf.
-        shape = (len(contestants), max(len(rates) for rates in self.rates))
-        table = np.zeros((n_contestants, 2, *shape))  # rank, (win, lose), user, rate
+        # Ragged effort sets are padded at the high end: rate 0, score -inf, never picked.
+        shape = (max(len(c.effort_set) for c in contestants), n_contestants, 1)
+        self._win, self._lose = np.zeros((2, n_contestants, *shape))  # rank, rate, user, 1
+        self._rates = np.zeros(shape, dtype=np.int64)
         self._charge = np.full(shape, math.inf)
         for u, c in enumerate(contestants):
             for r, f in enumerate(c.effort_set):
                 factors = rank_factors(win_cdf(c.loss_table[f], population), n_contestants)
-                table[:, :, u, r] = [(win, lose) for _, win, lose in factors]
-                self._charge[u, r] = cost(c.capability, f) if mode == "net" else 0.0
-        self._ranks = [(math.comb(n_contestants - 1, i), *table[i]) for i in range(n_contestants)]
+                _, self._win[:, r, u, 0], self._lose[:, r, u, 0] = zip(*factors)
+                self._rates[r, u] = f
+                self._charge[r, u] = cost(c.capability, f) if mode == "net" else 0.0
+        ways = [math.comb(n_contestants - 1, i) for i in range(n_contestants)]
+        self._ways = np.array(ways, dtype=np.float64)  # as float * int rounds the int
+
+    def _payments(self, prizes: np.ndarray) -> np.ndarray:
+        """Expected payments, (rates, users, vectors), for a (vectors, prizes) matrix."""
+        if prizes.shape[1] > len(self._ways):
+            raise ValueError(f"{prizes.shape[1]} prizes for {len(self._ways)} users; need count <= n")
+        total = np.zeros((*self._charge.shape[:2], len(prizes)))
+        term = np.empty_like(total)
+        # Rank by rank, in expected_payment's order: ((prize * ways) * win) * lose.
+        for paid, win, lose in zip(prizes.T * self._ways[:prizes.shape[1], None], self._win, self._lose):
+            np.multiply(paid, win, out=term)
+            term *= lose
+            total += term
+        return total
 
     def payments(self, prizes: tuple[float, ...]) -> np.ndarray:
         """Expected payment of each user (row) at each of their rates (column)."""
-        if len(prizes) > len(self._ranks):
-            raise ValueError(f"{len(prizes)} prizes for {len(self._ranks)} users; need count <= n")
-        total = np.zeros(self._charge.shape)
-        for prize, (ways, win, lose) in zip(prizes, self._ranks):
-            total += float(prize) * ways * win * lose
-        return total
+        return self._payments(np.array([prizes], dtype=np.float64))[:, :, 0].T
+
+    def efforts_many(self, prizes: np.ndarray) -> np.ndarray:
+        """The rate each user picks (columns, field order) for each prize vector (rows)."""
+        scores = self._payments(np.asarray(prizes, dtype=np.float64))
+        scores -= self._charge
+        # A later rate must clear the best score so far by the tie tolerance.
+        clear = np.maximum(np.abs(scores), 1.0)
+        clear *= SCORE_TIE_REL_TOL
+        with np.errstate(invalid="ignore"):  # padded rates: -inf + inf, never cleared
+            clear += scores
+        chosen = np.empty(scores.shape[1:], dtype=np.int64)
+        bar = np.full(scores.shape[1:], -math.inf)
+        take = np.empty(bar.shape, dtype=bool)
+        for score, threshold, rates in zip(scores, clear, self._rates):
+            np.greater(score, bar, out=take)
+            np.copyto(bar, threshold, where=take)
+            np.copyto(chosen, rates, where=take)
+        return chosen.T
 
     def efforts(self, prizes: tuple[float, ...]) -> tuple[int, ...]:
         """The rate each user picks, in field order, given the prize vector."""
-        chosen = []
-        for rates, scores in zip(self.rates, (self.payments(prizes) - self._charge).tolist()):
-            bar = -math.inf  # later rates must clear the best score by the tie tolerance
-            for f, score in zip(rates, scores):
-                if score > bar:
-                    best, bar = f, score + SCORE_TIE_REL_TOL * max(1.0, abs(score))
-            chosen.append(best)
-        return tuple(chosen)
+        return tuple(self.efforts_many(np.array([prizes], dtype=np.float64))[0].tolist())
 
 
 @dataclass

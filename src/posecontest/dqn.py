@@ -131,6 +131,7 @@ class ContestEnv:
         self.pool = scenario.awards.pool
         self._rates = np.array([c.native_rate for c in scenario.contestants], dtype=np.float64)
         self.responses = BestResponse(scenario.contestants, scenario.selection_mode)
+        self._states: dict[tuple[float, ...], EnvState] = {}  # by prize vector
 
     @property
     def n_actions(self) -> int:
@@ -155,9 +156,12 @@ class ContestEnv:
         return nxt, r
 
     def _state(self, prizes: tuple[float, ...]) -> EnvState:
-        # The one place a state's round is scored.
-        efforts = self.responses.efforts(prizes)
-        return EnvState(prizes, efforts, *self.scenario.round_loss(efforts)[1:])
+        # The one place a state's round is scored, once per prize vector.  Moves
+        # keep prizes near the pool's unit lattice, so the memo stays small.
+        if prizes not in self._states:
+            efforts = self.responses.efforts(prizes)
+            self._states[prizes] = EnvState(prizes, efforts, *self.scenario.round_loss(efforts)[1:])
+        return self._states[prizes]
 
     def state_vector(self, state: EnvState) -> np.ndarray:
         """Network input: prizes normalized by pool, rates by native rate."""

@@ -5,7 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .contest import BestResponse, ScenarioConfig
+
+# Prize vectors per best-response call in the award search: enough to spread the per-call
+# overhead, few enough to keep the kernel's temporaries under a megabyte on a 4-user field.
+_SEARCH_BLOCK = 512
 
 
 def award_grid(pool: float, n_contestants: int, step: float) -> tuple[tuple[float, ...], ...]:
@@ -21,23 +27,18 @@ def award_grid(pool: float, n_contestants: int, step: float) -> tuple[tuple[floa
     units = pool / step
     if abs(units - round(units)) > 1e-9:
         raise ValueError(f"step {step} does not divide pool {pool}")
-    units = round(units)
-
-    vectors: list[tuple[float, ...]] = []
-
-    def descend(prefix: list[int], remaining: int, cap: int, slots: int) -> None:
-        if slots == 0:
-            if remaining == 0:
-                vectors.append(tuple(u * step for u in prefix))
-            return
-        # Parts are non-increasing, so each slot is bounded by its predecessor.
-        for u in range(min(cap, remaining), -1, -1):
-            if u * slots < remaining:
-                break
-            descend(prefix + [u], remaining - u, u, slots - 1)
-
-    descend([], units, units, n_contestants)
-    return tuple(sorted(vectors))
+    # Slot by slot, each prefix row extends by every part from the least that still fits the
+    # remaining slots up to the part before it, ascending, so the rows stay sorted.
+    parts = np.zeros((1, 0), dtype=np.int64)
+    left = cap = np.array([round(units)])
+    for slots in range(n_contestants, 0, -1):
+        least = -(-left // slots)
+        counts = np.minimum(cap, left) - least + 1
+        rows = np.repeat(np.arange(len(parts)), counts)
+        part = least[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        parts = np.column_stack([parts[rows], part])
+        left, cap = left[rows] - part, part
+    return tuple(map(tuple, (parts * step).tolist()))
 
 
 @dataclass(frozen=True)
@@ -77,20 +78,22 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     enrolled field so every vector is judged against the same opponents.
     """
     responses = BestResponse(scenario.contestants, scenario.selection_mode)
-    entries = []
-    best: SearchEntry | None = None
-    for prizes in award_grid(scenario.awards.pool, scenario.n_contestants, step):
-        efforts = responses.efforts(prizes)
-        entry = SearchEntry(prizes, efforts, *scenario.round_loss(efforts)[1:])
-        entries.append(entry)
-        # The grid is in increasing order, so the first of equal losses is the smallest vector.
-        if entry.feasible and (best is None or entry.total_loss < best.total_loss):
-            best = entry
-    if best is None:
-        return AwardSearchResult(None, math.inf, None, len(entries), tuple(entries))
-    return AwardSearchResult(
-        best.prizes, best.total_loss, best.efforts, len(entries), tuple(entries)
-    )
+    loss_at = np.zeros((scenario.n_contestants, max(c.native_rate for c in scenario.contestants) + 1))
+    for table, c in zip(loss_at, scenario.contestants):  # user, rate
+        table[list(c.loss_table)] = list(c.loss_table.values())
+    grid = award_grid(scenario.awards.pool, scenario.n_contestants, step)
+    entries: list[SearchEntry] = []
+    for start in range(0, len(grid), _SEARCH_BLOCK):
+        block = grid[start:start + _SEARCH_BLOCK]
+        efforts = responses.efforts_many(np.array(block))
+        # Summed over the users in field order from 0, as round_loss's sum adds them.
+        losses = sum(table[column] for table, column in zip(loss_at, efforts.T))
+        feasible = efforts.sum(axis=1) <= scenario.budget
+        entries += map(SearchEntry, block, map(tuple, efforts.tolist()), losses.tolist(), feasible.tolist())
+    # min keeps the first of equal losses, and the grid ascends, so the smallest vector wins a tie.
+    best = min((e for e in entries if e.feasible), key=lambda e: e.total_loss, default=None)
+    found = (None, math.inf, None) if best is None else (best.prizes, best.total_loss, best.efforts)
+    return AwardSearchResult(*found, len(entries), tuple(entries))
 
 
 def exhaustive_effort_search(scenario: ScenarioConfig) -> tuple[tuple[int, ...], float]:

@@ -3,12 +3,14 @@
 reference_payment and reference_select are verbatim copies of the scalar
 expected_payment and select_effort as they stood before BestResponse
 existed.  The kernel must compute exactly the same payments and pick exactly
-the same rate for every user on every prize vector, so the comparisons below
-are equalities, not tolerances.
+the same rate for every user on every prize vector, one vector at a time
+(efforts) and a matrix of vectors at once (efforts_many), so the comparisons
+below are equalities, not tolerances.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from posecontest.config import build_scenario
@@ -63,16 +65,25 @@ def reference_select(contestant, awards, population, n_contestants, mode="net"):
 
 def mismatches(contestants, prize_vectors, mode):
     """Prize vectors on which the kernel and the scalar loop disagree, on a
-    chosen rate or, to the last bit, on any expected payment."""
+    chosen rate or, to the last bit, on any expected payment.
+
+    Vectors of one length go through efforts_many in a single call, and each
+    row is checked as well as the one-vector efforts call."""
     pop = population_from(contestants)
     n = len(contestants)
     kernel = BestResponse(contestants, mode)
+    rows = {}
+    for count in {len(prizes) for prizes in prize_vectors}:
+        block = [prizes for prizes in prize_vectors if len(prizes) == count]
+        chosen = kernel.efforts_many(np.array(block))
+        assert chosen.shape == (len(block), n)
+        rows.update(zip(block, map(tuple, chosen.tolist())))
     bad = []
     for prizes in prize_vectors:
         awards = AwardSetting(prizes)
         expected = tuple(reference_select(c, awards, pop, n, mode) for c in contestants)
         paid = kernel.payments(prizes)
-        if kernel.efforts(prizes) != expected or any(
+        if kernel.efforts(prizes) != expected or rows[prizes] != expected or any(
             paid[u, r] != reference_payment(c.loss_table[f], awards, n, pop)
             for u, c in enumerate(contestants)
             for r, f in enumerate(c.effort_set)
@@ -119,6 +130,8 @@ def test_prize_vector_shorter_than_field(default_scenario, mode):
     kernel = BestResponse(default_scenario.contestants, mode)
     with pytest.raises(ValueError, match="count <= n"):
         kernel.efforts((20.0,) * 5)
+    with pytest.raises(ValueError, match="count <= n"):
+        kernel.efforts_many(np.full((3, 5), 20.0))
 
 
 @pytest.mark.parametrize("mode", SELECTION_MODES)

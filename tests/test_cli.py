@@ -247,6 +247,7 @@ class TestRunConfig:
             dict(search_step=float("nan")),
             dict(search_step=float("inf")),
             dict(joint_count=3, users=1, profiles=("wave",)),
+            dict(out_dir=""),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -486,6 +487,21 @@ class TestErrors:
         assert run("gen", "--config", str(ini), "--out", str(out)) == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "ini"])
+    def test_empty_out_dir_exits_2(self, tmp_path, monkeypatch, capsys, where):
+        # Rejected before training, not at the first write after it.
+        ini = tmp_path / "tiny.ini"
+        if where == "flag":
+            ini.write_text(TINY_INI)
+            args = ("--out", "")
+        else:
+            ini.write_text(TINY_INI.replace("seed = 0", "seed = 0\nout_dir ="))
+            args = ()
+        monkeypatch.chdir(tmp_path)
+        assert run("train", "--config", str(ini), *args) == 2
+        assert "config error: out_dir must not be empty" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.ini"]
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

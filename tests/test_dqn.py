@@ -129,6 +129,21 @@ class TestEnv:
         assert sum(per_user) == total == state.total_loss == pytest.approx(expected)
         assert feasible == state.feasible == (sum(state.efforts) <= tiny_scenario.budget)
 
+    def test_memo_matches_fresh_envs(self, tiny_scenario):
+        env = ContestEnv(tiny_scenario)
+        rng = np.random.default_rng(3)
+        state = fresh = env.initial_state()
+        assert fresh == ContestEnv(tiny_scenario).initial_state()
+        visited = {state.prizes}
+        for index in rng.integers(env.n_actions, size=200).tolist():
+            state, r = env.step(state, env.actions[index])
+            fresh, fresh_r = ContestEnv(tiny_scenario).step(fresh, env.actions[index])
+            assert (state, r) == (fresh, fresh_r)
+            visited.add(state.prizes)
+        assert 1 < len(visited) < 200
+        assert set(env._states) == visited
+        assert all(s.prizes == p for p, s in env._states.items())
+
     def test_validation(self, tiny_scenario):
         with pytest.raises(ValueError, match="reward mode"):
             ContestEnv(tiny_scenario, reward_mode="loose")

@@ -7,7 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from posecontest.contest import AwardSetting, ContestantState, ScenarioConfig, simulate_contest
+from posecontest import oracle
+from posecontest.contest import (
+    AwardSetting,
+    BestResponse,
+    ContestantState,
+    ScenarioConfig,
+    simulate_contest,
+)
 from posecontest.oracle import (
     average_baseline,
     award_grid,
@@ -50,14 +57,17 @@ class TestAwardGrid:
 
     def test_matches_filtered_product(self):
         # independent enumeration: all compositions, kept when sorted
-        for pool, n, step in ((12.0, 2, 3.0), (20.0, 4, 5.0), (6.0, 3, 1.0)):
+        cases = ((12.0, 2, 3.0), (20.0, 4, 5.0), (6.0, 3, 1.0), (10.0, 5, 1.0), (7.0, 1, 1.0))
+        for pool, n, step in cases:
             units = int(pool / step)
             brute = {
                 tuple(u * step for u in combo)
                 for combo in itertools.product(range(units + 1), repeat=n)
                 if sum(combo) == units and all(a >= b for a, b in zip(combo, combo[1:]))
             }
-            assert set(award_grid(pool, n, step)) == brute
+            grid = award_grid(pool, n, step)
+            assert len(grid) == len(brute) and set(grid) == brute
+            assert list(grid) == sorted(grid)
 
     def test_entries_are_valid_prize_vectors(self):
         for entry in award_grid(100.0, 4, 5.0):
@@ -124,6 +134,38 @@ class TestAwardSearch:
             if e.feasible and e.total_loss == result.best_total_loss
         ]
         assert result.best_prizes == min(ties)
+
+    def test_wide_field_across_blocks(self, monkeypatch):
+        # Ten users, so a pairwise ndarray.sum would add the losses in another
+        # order than round_loss; five vectors a block split the 42-vector grid.
+        rng = np.random.default_rng(9)
+        field = [
+            ContestantState.from_sequence(
+                i + 1,
+                generate_synthetic(get_profile(kind), 2 * rate, rate, seed=i),
+                ("hold", "linear")[i % 2],
+            )
+            for i, (kind, rate) in enumerate(
+                zip(rng.choice(sorted(DEFAULT_PROFILES), 10), rng.choice([6, 12], 10).tolist())
+            )
+        ]
+        scenario = ScenarioConfig(field, 25, AwardSetting((2.7,) * 10))
+        monkeypatch.setattr(oracle, "_SEARCH_BLOCK", 5)
+        result = exhaustive_award_search(scenario, 2.7)
+        assert result.evaluated == len(award_grid(scenario.awards.pool, 10, 2.7)) == 42
+        kernel = BestResponse(field)
+        for e in result.entries:
+            assert e.efforts == kernel.efforts(e.prizes)
+            assert all(type(f) is int for f in e.efforts)
+            assert e.total_loss == scenario.round_loss(e.efforts)[1]
+            assert type(e.total_loss) is float
+            assert type(e.feasible) is bool
+            assert e.feasible == scenario.round_loss(e.efforts)[2]
+        feasible = [e for e in result.entries if e.feasible]
+        assert feasible and len(feasible) < len(result.entries)
+        best = min(feasible, key=lambda e: e.total_loss)  # the first of equal losses
+        assert (result.best_prizes, result.best_total_loss) == (best.prizes, best.total_loss)
+        assert "np." not in format_search_ledger(result)
 
 
 class TestEffortSearch:
