@@ -70,8 +70,8 @@ class RunConfig:
             raise ConfigError("joint_count must be at least 1")
         if self.frame_count < 1:
             raise ConfigError("frame_count must be at least 1")
-        if self.budget < 1:
-            raise ConfigError("budget must be at least 1")
+        if self.budget < self.users:
+            raise ConfigError(f"budget {self.budget} is below the user count {self.users}")
         if not math.isfinite(self.pool) or self.pool <= 0:
             raise ConfigError("pool must be finite and positive")
         if len(self.profiles) != self.users:

@@ -374,7 +374,8 @@ def compression_ratio(width: int, height: int, bits_per_pixel: int, joint_count:
 
 # --- serialization -------------------------------------------------------
 
-_CSV_HEADER = ["frame", "joint", "x", "y", "z"]
+_CSV_HEADER = "frame,joint,x,y,z"
+_CSV_ROW = np.dtype([("frame", np.int64), ("joint", np.int64), ("xyz", np.float64, (AXES,))])
 
 
 def save_sequence(sequence: SkeletonSequence, fmt: str = "csv") -> bytes:
@@ -385,14 +386,11 @@ def save_sequence(sequence: SkeletonSequence, fmt: str = "csv") -> bytes:
     the full sequence including metadata.
     """
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for i in range(sequence.frame_count):
-            for j in range(sequence.joint_count):
-                x, y, z = sequence.coords[i, j]
-                writer.writerow([i + 1, j + 1, repr(float(x)), repr(float(y)), repr(float(z))])
-        return buf.getvalue().encode("utf-8")
+        # A float's repr holds no comma, quote or newline, so csv.writer would not quote it.
+        index = (np.indices(sequence.coords.shape[:2]).reshape(2, -1) + 1).tolist()
+        rows = zip(*index, sequence.coords.reshape(-1, AXES).tolist())
+        lines = [_CSV_HEADER] + [f"{i},{j},{x!r},{y!r},{z!r}" for i, j, (x, y, z) in rows]
+        return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
         payload = {
             "native_rate": sequence.native_rate,
@@ -429,10 +427,46 @@ def load_sequence(
 
 def _load_csv(data: bytes, native_rate: int, user_label: str) -> SkeletonSequence:
     text = data.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != _CSV_HEADER:
-        raise SequenceFormatError(f"expected header {','.join(_CSV_HEADER)}")
+    frames, joints, xyz = _parse_csv_grid(data, text) or _scan_csv(text)
+    joint_count = joints.max()
+    present, counts = np.unique(frames, return_counts=True)
+    bad = np.flatnonzero((present != np.arange(1, len(present) + 1)) | (counts != joint_count))
+    if bad.size:  # frames 1..f - 1 are full, so frame f is missing or short
+        f = bad[0] + 1
+        got = counts[f - 1] if present[f - 1] == f else 0
+        raise SequenceFormatError(f"inconsistent joint count at frame {f}: expected {joint_count}, got {got}")
+    # Distinct 1-based joints, joint_count per frame: each frame holds 1..joint_count.
+    coords = np.empty((len(present), joint_count, AXES))
+    coords[frames.astype(int) - 1, joints.astype(int) - 1] = xyz
+    return SkeletonSequence(coords, native_rate, user_label)
+
+
+def _parse_csv_grid(data: bytes, text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Frame, joint and xyz columns from one loadtxt pass, or None unless they fill the grid with
+    valid distinct cells and csv.reader, int() and float() read them alike.  loadtxt strips
+    U+001C..U+001F as whitespace where int() and float() do not, and it has no field size limit."""
+    header, _, body = text.partition("\n")
+    newlines = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if (header != _CSV_HEADER or not body.strip() or any(c in body for c in "\x1c\x1d\x1e\x1f")
+            or np.diff(newlines, append=len(data)).max() > csv.field_size_limit()):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), _CSV_ROW, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    frames, joints = rows["frame"], rows["joint"]
+    size = int(frames.max()) * int(joints.max())
+    if min(frames.min(), joints.min()) < 1 or len(rows) != size or not np.isfinite(rows["xyz"]).all():
+        return None
+    cells = np.sort((frames - 1) * joints.max() + joints - 1)
+    return (frames, joints, rows["xyz"]) if (cells == np.arange(size)).all() else None
+
+
+def _scan_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns by a csv.reader scan: it reads what loadtxt rejects and raises at the first bad line."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0] != _CSV_HEADER.split(","):
+        raise SequenceFormatError(f"expected header {_CSV_HEADER}")
     seen: dict[tuple[int, int], tuple[float, float, float]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -453,22 +487,8 @@ def _load_csv(data: bytes, native_rate: int, user_label: str) -> SkeletonSequenc
         seen[(frame, joint)] = (x, y, z)
     if not seen:
         raise SequenceFormatError("no data rows")
-    frame_count = max(f for f, _ in seen)
-    joint_count = max(j for _, j in seen)
-    per_frame: dict[int, int] = {}
-    for f, _ in seen:
-        per_frame[f] = per_frame.get(f, 0) + 1
-    for f in range(1, frame_count + 1):
-        got = per_frame.get(f, 0)
-        if got != joint_count:
-            raise SequenceFormatError(
-                f"inconsistent joint count at frame {f}: expected {joint_count}, got {got}"
-            )
-    # Distinct 1-based joints, joint_count per frame: each frame holds 1..joint_count.
-    coords = np.empty((frame_count, joint_count, AXES))
-    for (f, j), xyz in seen.items():
-        coords[f - 1, j - 1] = xyz
-    return SkeletonSequence(coords, native_rate, user_label)
+    # Object arrays keep indices past int64 exact; a grid that large fails the count check.
+    return (*np.array(list(seen), dtype=object).T, np.array(list(seen.values())))
 
 
 def _load_json(data: bytes) -> SkeletonSequence:

@@ -248,6 +248,7 @@ class TestRunConfig:
             dict(search_step=float("inf")),
             dict(joint_count=3, users=1, profiles=("wave",)),
             dict(out_dir=""),
+            dict(budget=3),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -502,6 +503,16 @@ class TestErrors:
         assert run("train", "--config", str(ini), *args) == 2
         assert "config error: out_dir must not be empty" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["tiny.ini"]
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_budget_below_user_count_exits_2(self, tmp_path, capsys, command):
+        # Every user uploads at least one frame per second, so no allocation fits.
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY_INI.replace("budget = 8", "budget = 1"))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(ini), "--out", str(out)) == 2
+        assert "config error: budget 1 is below the user count 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
