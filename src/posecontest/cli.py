@@ -132,11 +132,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
         ) from None
 
     scenario = build_scenario(cfg)
-    env = ContestEnv(
-        scenario,
-        reward_mode=cfg.dqn.reward_mode,
-        reward_scale=cfg.dqn.reward_scale,
-    )
+    env = ContestEnv(scenario)
     if net.layer_sizes[0] != env.state_size or net.layer_sizes[-1] != env.n_actions:
         raise RuntimeError(
             f"policy shape {net.layer_sizes} does not fit this scenario "
@@ -144,13 +140,10 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
 
     base_efforts, base_loss = average_baseline(scenario)
-    evaluation = evaluate_policy(net, env, steps=cfg.dqn.steps_per_episode)
-    if evaluation.best_state is not None:
-        dqn_loss = evaluation.best_total_loss
-        dqn_efforts = evaluation.best_state.efforts
-    else:
-        dqn_loss = evaluation.final_total_loss
-        dqn_efforts = evaluation.final_state.efforts
+    # RunConfig keeps the budget at or above the user count, so the equal-split
+    # start (every user at rate 1) is feasible and a best state always exists.
+    best = evaluate_policy(net, env, steps=cfg.dqn.steps_per_episode).best_state
+    dqn_loss, dqn_efforts = best.total_loss, best.efforts
     floor_efforts, floor_loss = exhaustive_effort_search(scenario)
 
     def reduction(loss: float) -> float:

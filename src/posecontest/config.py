@@ -14,7 +14,8 @@ Config files are INI-style with one section per concern:
 
 Every key is optional and falls back to its field's default below; a value
 must parse as that default's type, a list item by item.  Unknown sections or
-keys are rejected rather than ignored.
+keys are rejected rather than ignored.  reward_mode accepts only "strict",
+its default and the one reward rule.
 """
 
 from __future__ import annotations

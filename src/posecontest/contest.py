@@ -299,6 +299,17 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
+class Round:
+    """One prize vector, the upload rates it induces, and that round's total
+    loss and budget feasibility (as round_loss scores them)."""
+
+    prizes: tuple[float, ...]
+    efforts: tuple[int, ...]
+    total_loss: float
+    feasible: bool
+
+
+@dataclass(frozen=True)
 class ContestOutcome:
     """Result of one simulated contest round, all tuples in enrollment order."""
 

@@ -19,14 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contest import BestResponse, ScenarioConfig
+from .contest import BestResponse, Round, ScenarioConfig
 
-REWARD_MODES = ("strict", "full_budget")
+# The one reward rule, ContestEnv.step's: reward_scale / total loss for a round
+# inside the upload budget, 0.0 for one over it.
+REWARD_MODES = ("strict",)
 
 # A perfect zero-loss round would make the inverse reward blow up.
 REWARD_LOSS_FLOOR = 1e-9
-
-_POOL_TOL = 1e-9
 
 POLICY_MAGIC = b"QNET"
 POLICY_VERSION = 1
@@ -68,47 +68,6 @@ def apply_action(prizes: tuple[float, ...], action: tuple[int, ...]) -> tuple[fl
     return tuple(sorted(moved, reverse=True))
 
 
-def reward(
-    efforts: tuple[int, ...],
-    prizes: tuple[float, ...],
-    total_loss: float,
-    budget: int,
-    pool: float,
-    mode: str = "strict",
-    scale: float = 1.0,
-) -> float:
-    """Scalar feedback for one contest round: scale / total loss, or 0.
-
-    Mode "strict" zeroes the reward when the summed upload rates exceed the
-    budget or the prize vector does not sum to the pool.  Mode "full_budget"
-    instead zeroes it when the budget is left unsaturated or the pool is
-    exceeded, i.e. it insists every upload slot gets used.
-    """
-    if mode not in REWARD_MODES:
-        raise ValueError(f"unknown reward mode {mode!r}; expected one of {REWARD_MODES}")
-    total_effort = sum(efforts)
-    paid = sum(prizes)
-    tol = _POOL_TOL * max(1.0, abs(pool))
-    if mode == "strict":
-        violated = total_effort > budget or abs(paid - pool) > tol
-    else:
-        violated = total_effort < budget or paid > pool + tol
-    if violated:
-        return 0.0
-    return scale / max(total_loss, REWARD_LOSS_FLOOR)
-
-
-@dataclass(frozen=True)
-class EnvState:
-    """Prize vector, the upload rates it induces, and that round's total loss
-    and budget feasibility."""
-
-    prizes: tuple[float, ...]
-    efforts: tuple[int, ...]
-    total_loss: float
-    feasible: bool
-
-
 class ContestEnv:
     """The contest scenario viewed as a deterministic decision process."""
 
@@ -125,13 +84,12 @@ class ContestEnv:
         if scenario.awards.pool <= 0:
             raise ValueError("prize pool must be positive")
         self.scenario = scenario
-        self.reward_mode = reward_mode
         self.reward_scale = reward_scale
         self.actions = enumerate_actions(scenario.n_contestants)
         self.pool = scenario.awards.pool
         self._rates = np.array([c.native_rate for c in scenario.contestants], dtype=np.float64)
         self.responses = BestResponse(scenario.contestants, scenario.selection_mode)
-        self._states: dict[tuple[float, ...], EnvState] = {}  # by prize vector
+        self._states: dict[tuple[float, ...], Round] = {}  # by prize vector
 
     @property
     def n_actions(self) -> int:
@@ -141,29 +99,25 @@ class ContestEnv:
     def state_size(self) -> int:
         return 2 * self.scenario.n_contestants
 
-    def initial_state(self) -> EnvState:
+    def initial_state(self) -> Round:
         """Equal split: the neutral, pool-preserving starting point."""
         n = self.scenario.n_contestants
         return self._state((self.pool / n,) * n)
 
-    def step(self, state: EnvState, action: tuple[int, ...]) -> tuple[EnvState, float]:
+    def step(self, state: Round, action: tuple[int, ...]) -> tuple[Round, float]:
         """Apply one prize move, let users re-pick rates, score the round."""
         nxt = self._state(apply_action(state.prizes, action))
-        r = reward(
-            nxt.efforts, nxt.prizes, nxt.total_loss, self.scenario.budget, self.pool,
-            self.reward_mode, self.reward_scale,
-        )
-        return nxt, r
+        return nxt, self.reward_scale / max(nxt.total_loss, REWARD_LOSS_FLOOR) if nxt.feasible else 0.0
 
-    def _state(self, prizes: tuple[float, ...]) -> EnvState:
+    def _state(self, prizes: tuple[float, ...]) -> Round:
         # The one place a state's round is scored, once per prize vector.  Moves
         # keep prizes near the pool's unit lattice, so the memo stays small.
         if prizes not in self._states:
             efforts = self.responses.efforts(prizes)
-            self._states[prizes] = EnvState(prizes, efforts, *self.scenario.round_loss(efforts)[1:])
+            self._states[prizes] = Round(prizes, efforts, *self.scenario.round_loss(efforts)[1:])
         return self._states[prizes]
 
-    def state_vector(self, state: EnvState) -> np.ndarray:
+    def state_vector(self, state: Round) -> np.ndarray:
         """Network input: prizes normalized by pool, rates by native rate."""
         prizes = np.asarray(state.prizes, dtype=np.float64) / self.pool
         efforts = np.asarray(state.efforts, dtype=np.float64) / self._rates
@@ -358,7 +312,7 @@ class DqnConfig:
         if self.target_sync < 1:
             raise ValueError("target_sync must be positive")
         if self.reward_mode not in REWARD_MODES:
-            raise ValueError(f"unknown reward mode {self.reward_mode!r}")
+            raise ValueError(f"unknown reward mode {self.reward_mode!r}; expected one of {REWARD_MODES}")
         if not math.isfinite(self.reward_scale) or self.reward_scale <= 0:
             raise ValueError("reward_scale must be finite and positive")
 
@@ -435,10 +389,10 @@ class PolicyEvaluation:
     None when every visited state blew the budget.
     """
 
-    final_state: EnvState
+    final_state: Round
     final_total_loss: float
     final_feasible: bool
-    best_state: EnvState | None
+    best_state: Round | None
     best_total_loss: float
     steps: int
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contest import BestResponse, ScenarioConfig
+from .contest import BestResponse, Round, ScenarioConfig
 
 # Prize vectors per best-response call in the award search: enough to spread the per-call
 # overhead, few enough to keep the kernel's temporaries under a megabyte on a 4-user field.
@@ -42,16 +42,6 @@ def award_grid(pool: float, n_contestants: int, step: float) -> tuple[tuple[floa
 
 
 @dataclass(frozen=True)
-class SearchEntry:
-    """One evaluated prize vector and the contest round it induced."""
-
-    prizes: tuple[float, ...]
-    efforts: tuple[int, ...]
-    total_loss: float
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class AwardSearchResult:
     """Outcome of a full sweep over the prize lattice.
 
@@ -63,7 +53,7 @@ class AwardSearchResult:
     best_total_loss: float
     best_efforts: tuple[int, ...] | None
     evaluated: int
-    entries: tuple[SearchEntry, ...]
+    entries: tuple[Round, ...]
 
     @property
     def found_feasible(self) -> bool:
@@ -82,14 +72,14 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     for table, c in zip(loss_at, scenario.contestants):  # user, rate
         table[list(c.loss_table)] = list(c.loss_table.values())
     grid = award_grid(scenario.awards.pool, scenario.n_contestants, step)
-    entries: list[SearchEntry] = []
+    entries: list[Round] = []
     for start in range(0, len(grid), _SEARCH_BLOCK):
         block = grid[start:start + _SEARCH_BLOCK]
         efforts = responses.efforts_many(np.array(block))
         # Summed over the users in field order from 0, as round_loss's sum adds them.
         losses = sum(table[column] for table, column in zip(loss_at, efforts.T))
         feasible = efforts.sum(axis=1) <= scenario.budget
-        entries += map(SearchEntry, block, map(tuple, efforts.tolist()), losses.tolist(), feasible.tolist())
+        entries += map(Round, block, map(tuple, efforts.tolist()), losses.tolist(), feasible.tolist())
     # min keeps the first of equal losses, and the grid ascends, so the smallest vector wins a tie.
     best = min((e for e in entries if e.feasible), key=lambda e: e.total_loss, default=None)
     found = (None, math.inf, None) if best is None else (best.prizes, best.total_loss, best.efforts)

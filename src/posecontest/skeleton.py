@@ -464,7 +464,11 @@ def _parse_csv_grid(data: bytes, text: str) -> tuple[np.ndarray, np.ndarray, np.
 
 def _scan_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns by a csv.reader scan: it reads what loadtxt rejects and raises at the first bad line."""
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a lone CR inside a line, or a field over the size limit
+        raise SequenceFormatError(f"line {reader.line_num}: {exc}") from None
     if not rows or rows[0] != _CSV_HEADER.split(","):
         raise SequenceFormatError(f"expected header {_CSV_HEADER}")
     seen: dict[tuple[int, int], tuple[float, float, float]] = {}

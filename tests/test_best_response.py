@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posecontest.config import build_scenario
 from posecontest.contest import (
@@ -25,7 +27,7 @@ from posecontest.contest import (
     win_cdf,
 )
 from posecontest.oracle import award_grid
-from posecontest.skeleton import generate_synthetic, get_profile
+from posecontest.skeleton import DEFAULT_PROFILES, generate_synthetic, get_profile
 from test_acceptance import SMALL
 
 
@@ -153,3 +155,24 @@ def test_near_tie_below_one_goes_to_rate_one():
     scenario = build_scenario(SMALL)
     kernel = BestResponse(scenario.contestants, "payment")
     assert kernel.efforts((1e-9, 0.0, 0.0)) == (1, 1, 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(DEFAULT_PROFILES)), st.sampled_from([1, 2, 6, 12, 30, 60])),
+        min_size=1,
+        max_size=6,
+    ),
+    st.one_of(st.sampled_from([100.0, 10.0, 1.0]), st.floats(1e-3, 1e4)),
+    st.sampled_from(SELECTION_MODES),
+)
+def test_equal_split_of_any_field_is_rate_one(users, pool, mode):
+    # Every rate pays pool / n at an equal split, so the tie rule picks rate 1, and
+    # any budget at or above the user count makes the equal-split start feasible.
+    field = [
+        ContestantState.from_sequence(i + 1, generate_synthetic(get_profile(kind), 2 * rate, rate, seed=i))
+        for i, (kind, rate) in enumerate(users)
+    ]
+    n = len(field)
+    assert BestResponse(field, mode).efforts((pool / n,) * n) == (1,) * n

@@ -1,5 +1,6 @@
 """Config parsing and the command-line harness."""
 
+import csv
 import dataclasses
 import re
 
@@ -43,8 +44,9 @@ step = 5
 """
 
 
-# Every accepted key, each set away from its default.  Some float keys are
-# written as integers, so the test also pins that they still parse as floats.
+# Every accepted key, each set away from its default except reward_mode,
+# whose one accepted value is its default.  Some float keys are written as
+# integers, so the test also pins that they still parse as floats.
 FULL_INI = """\
 [run]
 seed = 11
@@ -73,7 +75,7 @@ epsilon_start = 0.9
 epsilon_end = 0.1
 epsilon_decay = 0.99
 target_sync = 25
-reward_mode = full_budget
+reward_mode = strict
 reward_scale = 2.5
 
 [codec]
@@ -151,7 +153,7 @@ class TestParseConfig:
                 epsilon_end=0.1,
                 epsilon_decay=0.99,
                 target_sync=25,
-                reward_mode="full_budget",
+                reward_mode="strict",
                 reward_scale=2.5,
             ),
             bounds=QuantBounds(lo=-3.0, hi=1.5),
@@ -173,7 +175,8 @@ class TestParseConfig:
                 assert type(value) is type(wanted), f.name
                 if isinstance(wanted, tuple):
                     assert [type(v) for v in value] == [type(v) for v in wanted], f.name
-                assert wanted != getattr(default, f.name), f.name
+                if f.name != "reward_mode":
+                    assert wanted != getattr(default, f.name), f.name
                 compared += 1
         assert compared == 30
         assert cfg == expected
@@ -438,6 +441,22 @@ class TestCodec:
         assert run("codec", "--config", tiny_ini, "--out", str(out), "--input", "nope.csv") == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,1,0,0,0\r1,2,0,0,0", "line 1: new-line character seen in unquoted field"),
+            (f"frame,joint,x,y,z\n1,1,0,0,{'0' * (csv.field_size_limit() + 1)}\n",
+             "line 2: field larger than field limit"),
+        ],
+        ids=["lone-cr", "over-field-limit"],
+    )
+    def test_unreadable_csv_exits_1(self, tiny_ini, tmp_path, capsys, text, message):
+        clip = tmp_path / "clip.csv"
+        clip.write_bytes(text.encode())
+        out = tmp_path / "out"
+        assert run("codec", "--config", tiny_ini, "--out", str(out), "--input", str(clip)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
 
 class TestSearch:
     def test_writes_ledger_and_best(self, tiny_ini, tmp_path, capsys):
@@ -512,6 +531,15 @@ class TestErrors:
         out = tmp_path / "out"
         assert run(command, "--config", str(ini), "--out", str(out)) == 2
         assert "config error: budget 1 is below the user count 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_retired_reward_mode_exits_2(self, tmp_path, capsys):
+        # full_budget rewarded rounds over the budget, which compare discards.
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY_INI.replace("[dqn]", "[dqn]\nreward_mode = full_budget"))
+        out = tmp_path / "out"
+        assert run("train", "--config", str(ini), "--out", str(out)) == 2
+        assert "config error: unknown reward mode 'full_budget'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_command_exits_2(self):

@@ -6,15 +6,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posecontest import oracle
 from posecontest.contest import (
+    SELECTION_MODES,
     AwardSetting,
     BestResponse,
     ContestantState,
     ScenarioConfig,
     simulate_contest,
 )
+from posecontest.dqn import ContestEnv
 from posecontest.oracle import (
     average_baseline,
     award_grid,
@@ -166,6 +170,24 @@ class TestAwardSearch:
         best = min(feasible, key=lambda e: e.total_loss)  # the first of equal losses
         assert (result.best_prizes, result.best_total_loss) == (best.prizes, best.total_loss)
         assert "np." not in format_search_ledger(result)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.integers(0, 2**16), st.sampled_from([1.0, 2.5, 0.7]), st.integers(1, 8),
+           st.sampled_from(SELECTION_MODES))
+    def test_env_rounds_equal_search_entries(self, seed, step, units, mode):
+        # The env and the award search both produce contest.Round; they must
+        # agree field for field, Python types included, on every lattice vector.
+        scenario = replace(random_field(seed)[1], selection_mode=mode)
+        n = scenario.n_contestants
+        scenario = scenario.with_awards((units * step / n,) * n)
+        result = exhaustive_award_search(scenario, step)
+        env = ContestEnv(scenario)
+        for e in result.entries:
+            got = env._state(e.prizes)
+            assert got == e
+            assert [type(v) for v in (*got.efforts, got.total_loss, got.feasible)] == [
+                type(v) for v in (*e.efforts, e.total_loss, e.feasible)
+            ]
 
 
 class TestEffortSearch:

@@ -1,9 +1,11 @@
 """Sequence synthesis, rendering loss, codec, and serialization.
 
 reference_save_csv and reference_load_csv are verbatim copies of the CSV
-writer and reader as they stood before both worked on whole arrays.  The
-array versions must write the same bytes, and read every input to the same
-array or fail with the same exception and message.
+writer and reader as they stood before both worked on whole arrays, except
+that the reader turns csv.Error into a SequenceFormatError naming the line,
+as the package's reader does.  The array versions must write the same bytes,
+and read every input to the same array or fail with the same exception and
+message.
 """
 
 import csv
@@ -425,7 +427,10 @@ def reference_save_csv(sequence):
 def reference_load_csv(data: bytes, native_rate: int, user_label: str) -> SkeletonSequence:
     text = data.decode("utf-8")
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise SequenceFormatError(f"line {reader.line_num}: {exc}") from None
     if not rows or rows[0] != _CSV_HEADER:
         raise SequenceFormatError(f"expected header {','.join(_CSV_HEADER)}")
     seen: dict[tuple[int, int], tuple[float, float, float]] = {}
