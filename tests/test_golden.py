@@ -38,6 +38,22 @@ def test_small_training_outputs(tmp_path):
     )
 
 
+def test_small_training_after_buffer_wraps(tmp_path):
+    # 40 x 30 = 1,200 pushes into 500 slots: the replay buffer wraps twice, so
+    # the later samples draw from overwritten slots.  The greedy rollouts pick
+    # the same moves as with the default capacity, so history.csv matches the
+    # golden above; the weights do not.
+    ini = tmp_path / "wrap.ini"
+    ini.write_text(SMALL_INI + "buffer_capacity = 500\n")
+    assert cli_main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    assert digest(tmp_path / "history.csv") == (
+        "95e9b584afbedfc6e04c35fa3c86c2c6fde8a1d0a2e966f37efcea90a16a4fd8"
+    )
+    assert digest(tmp_path / "policy.bin") == (
+        "45a9b5222022672571648e136685e45590d8e134e42bde471c8b65644991f723"
+    )
+
+
 def test_default_search_ledger(tmp_path):
     assert cli_main(["search", "--out", str(tmp_path)]) == 0
     assert digest(tmp_path / "search.csv") == (
