@@ -61,6 +61,8 @@ class RunConfig:
     search_step: float = 5.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.out_dir:
             raise ConfigError("out_dir must not be empty")
         if self.users < 1:

@@ -15,7 +15,6 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -148,14 +147,19 @@ class Mlp:
             self.weights.append(w)
             self.biases.append(np.zeros(fan_out))
 
+    def _activations(self, x: np.ndarray) -> list[np.ndarray]:
+        # The one forward pass: the (batch, features) input, each ReLU layer, the output.
+        acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
+        if acts[0].shape[1] != self.layer_sizes[0]:
+            raise ValueError(f"expected {self.layer_sizes[0]} input features, got {acts[0].shape[1]}")
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        acts.append(acts[-1] @ self.weights[-1] + self.biases[-1])
+        return acts
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batch forward pass; accepts (features,) or (batch, features)."""
-        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if a.shape[1] != self.layer_sizes[0]:
-            raise ValueError(f"expected {self.layer_sizes[0]} input features, got {a.shape[1]}")
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-        return a @ self.weights[-1] + self.biases[-1]
+        return self._activations(x)[-1]
 
     def gradients(
         self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
@@ -166,17 +170,10 @@ class Mlp:
         output of each row carries error.  Returns (weight grads, bias grads,
         loss before the step).
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        *activations, out = self._activations(states)
         actions = np.asarray(actions, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.float64)
-        batch = states.shape[0]
-
-        activations = [states]
-        a = states
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-            activations.append(a)
-        out = a @ self.weights[-1] + self.biases[-1]
+        batch = out.shape[0]
 
         rows = np.arange(batch)
         err = out[rows, actions] - targets
@@ -211,45 +208,41 @@ def greedy_action(net: Mlp, state_vector: np.ndarray) -> int:
     return int(np.argmax(net.forward(state_vector)[0]))
 
 
-class Transition(NamedTuple):
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-
-
 class ReplayBuffer:
-    """Fixed-capacity experience store with uniform sampling."""
+    """Fixed-capacity experience store with uniform sampling, kept as four column
+    arrays allocated on the first push; once full, a push overwrites the oldest row."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self.items: list[Transition] = []
-        self.position = 0
+        self.columns: tuple[np.ndarray, ...] = ()
+        self.pushes = 0
 
-    def push(self, transition: Transition) -> None:
-        # Overwrites the oldest entry once full.
-        if len(self.items) < self.capacity:
-            self.items.append(transition)
-        else:
-            self.items[self.position] = transition
-        self.position = (self.position + 1) % self.capacity
+    def push(self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray) -> None:
+        if not self.columns:
+            n = self.capacity
+            self.columns = (np.empty((n, len(state))), np.empty(n, np.intp),
+                            np.empty(n), np.empty((n, len(next_state))))
+        for column, value in zip(self.columns, (state, action, reward, next_state)):
+            column[self.pushes % self.capacity] = value
+        self.pushes += 1
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        if batch_size > len(self.items):
-            raise ValueError(f"cannot sample {batch_size} from {len(self.items)} stored")
-        indices = rng.choice(len(self.items), size=batch_size, replace=False)
-        return [self.items[i] for i in indices]
+    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        """(states, actions, rewards, next states) at batch_size distinct rows."""
+        if batch_size > len(self):
+            raise ValueError(f"cannot sample {batch_size} from {len(self)} stored")
+        indices = rng.choice(len(self), size=batch_size, replace=False)
+        return tuple(column[indices] for column in self.columns)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return min(self.pushes, self.capacity)
 
 
 def mlp_update(
     net: Mlp,
     target_net: Mlp,
-    batch: list[Transition],
+    batch: tuple[np.ndarray, ...],
     discount: float,
     learning_rate: float,
 ) -> float:
@@ -258,11 +251,7 @@ def mlp_update(
     Returns the pre-step loss.  Raises RuntimeError if any gradient is
     non-finite; the step is aborted in that case.
     """
-    states = np.stack([t.state for t in batch])
-    actions = np.array([t.action for t in batch], dtype=np.intp)
-    rewards = np.array([t.reward for t in batch], dtype=np.float64)
-    next_states = np.stack([t.next_state for t in batch])
-
+    states, actions, rewards, next_states = batch
     next_best = target_net.forward(next_states).max(axis=1)
     targets = rewards + discount * next_best
     grads_w, grads_b, loss = net.gradients(states, actions, targets)
@@ -351,17 +340,17 @@ def train(scenario: ScenarioConfig, config: DqnConfig = DqnConfig()) -> tuple[Ml
     step_count = 0
     for episode in range(1, config.episodes + 1):
         state = env.initial_state()
+        vec = env.state_vector(state)
         reward_sum = 0.0
         for _ in range(config.steps_per_episode):
-            vec = env.state_vector(state)
             if explore_rng.random() < epsilon:
                 action_index = int(explore_rng.integers(env.n_actions))
             else:
                 action_index = greedy_action(net, vec)
-            next_state, r = env.step(state, env.actions[action_index])
-            buffer.push(Transition(vec, action_index, r, env.state_vector(next_state)))
+            state, r = env.step(state, env.actions[action_index])
+            prev, vec = vec, env.state_vector(state)
+            buffer.push(prev, action_index, r, vec)
             reward_sum += r
-            state = next_state
             step_count += 1
             if len(buffer) >= config.batch_size:
                 batch = buffer.sample(config.batch_size, replay_rng)
@@ -459,7 +448,8 @@ def load_policy(data: bytes) -> Mlp:
     if any(s < 1 for s in sizes):
         raise ValueError(f"layer sizes must be positive, got {sizes}")
 
-    net = Mlp(sizes)
+    # Read every layer before building the net: sizes the payload lacks allocate nothing.
+    weights, biases = [], []
     for layer, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
         w_bytes = 8 * fan_in * fan_out
         b_bytes = 8 * fan_out
@@ -469,13 +459,15 @@ def load_policy(data: bytes) -> Mlp:
         offset += w_bytes
         b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
         offset += b_bytes
-        net.weights[layer] = w.reshape(fan_in, fan_out).copy()
-        net.biases[layer] = b.copy()
+        weights.append(w.reshape(fan_in, fan_out).copy())
+        biases.append(b.copy())
     if offset != len(data):
         raise ValueError(f"policy payload has {len(data) - offset} trailing bytes")
-    for arr in itertools.chain(net.weights, net.biases):
+    for arr in itertools.chain(weights, biases):
         if not np.isfinite(arr).all():
             raise ValueError("policy parameters contain non-finite values")
+    net = Mlp(sizes)
+    net.weights, net.biases = weights, biases
     return net
 
 

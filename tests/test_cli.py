@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import re
+import struct
 
 import pytest
 
@@ -252,6 +253,7 @@ class TestRunConfig:
             dict(joint_count=3, users=1, profiles=("wave",)),
             dict(out_dir=""),
             dict(budget=3),
+            dict(seed=-1),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -411,6 +413,15 @@ class TestTrainCompare:
         )
         assert "does not fit this scenario" in capsys.readouterr().err
 
+    def test_compare_rejects_policy_larger_than_its_file(self, tiny_ini, tmp_path, capsys):
+        # 17 bytes that declare a 200,000 x 200,000 layer: refused before any allocation.
+        policy = tmp_path / "huge.bin"
+        policy.write_bytes(b"QNET" + struct.pack("<BI2I", 1, 2, 200_000, 200_000))
+        out = tmp_path / "out"
+        assert run("compare", "--config", tiny_ini, "--out", str(out), "--policy", str(policy)) == 1
+        assert "error: policy payload truncated in layer 0 parameters" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCodec:
     def test_generated_clip(self, tiny_ini, tmp_path, capsys):
@@ -531,6 +542,21 @@ class TestErrors:
         out = tmp_path / "out"
         assert run(command, "--config", str(ini), "--out", str(out)) == 2
         assert "config error: budget 1 is below the user count 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "train", "contest", "codec", "search"])
+    def test_negative_seed_flag_exits_2(self, tiny_ini, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run(command, "--config", tiny_ini, "--seed", "-1", "--out", str(out)) == 2
+        assert "config error: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_key_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY_INI.replace("seed = 0", "seed = -3"))
+        out = tmp_path / "out"
+        assert run("train", "--config", str(ini), "--out", str(out)) == 2
+        assert "config error: seed must be non-negative, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_retired_reward_mode_exits_2(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Action space, environment, value network, replay training, persistence."""
 
 import math
+import struct
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from posecontest.dqn import (
     DqnConfig,
     Mlp,
     ReplayBuffer,
-    Transition,
     apply_action,
     enumerate_actions,
     evaluate_policy,
@@ -219,6 +220,11 @@ class TestMlp:
         with pytest.raises(ValueError, match="input features"):
             net.forward(np.zeros(5))
 
+    def test_gradients_reject_wrong_feature_count(self):
+        net = Mlp((4, 3), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="expected 4 input features, got 5"):
+            net.gradients(np.zeros((2, 5)), np.array([0, 1]), np.zeros(2))
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         net = Mlp((3, 8, 4), rng)
@@ -272,63 +278,148 @@ class TestMlp:
         assert greedy_action(net, np.ones(2)) == 0
 
 
-class TestReplayBuffer:
-    def make_transition(self, tag):
-        return Transition(np.array([float(tag)]), tag, float(tag), np.array([float(tag)]))
+# The list-of-tuples replay store the column buffer replaced, kept verbatim as
+# the reference its samples must equal: Transition, the buffer (renamed), and
+# the stacking that opened mlp_update.
+class Transition(NamedTuple):
+    state: np.ndarray
+    action: int
+    reward: float
+    next_state: np.ndarray
 
+
+class ListReplayBuffer:
+    """Fixed-capacity experience store with uniform sampling."""
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
+        self.capacity = capacity
+        self.items: list[Transition] = []
+        self.position = 0
+
+    def push(self, transition: Transition) -> None:
+        # Overwrites the oldest entry once full.
+        if len(self.items) < self.capacity:
+            self.items.append(transition)
+        else:
+            self.items[self.position] = transition
+        self.position = (self.position + 1) % self.capacity
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
+        if batch_size > len(self.items):
+            raise ValueError(f"cannot sample {batch_size} from {len(self.items)} stored")
+        indices = rng.choice(len(self.items), size=batch_size, replace=False)
+        return [self.items[i] for i in indices]
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
+def stack_batch(batch: list[Transition]) -> tuple[np.ndarray, ...]:
+    states = np.stack([t.state for t in batch])
+    actions = np.array([t.action for t in batch], dtype=np.intp)
+    rewards = np.array([t.reward for t in batch], dtype=np.float64)
+    next_states = np.stack([t.next_state for t in batch])
+    return states, actions, rewards, next_states
+
+
+def tagged_row(tag):
+    """A row whose every field reads tag, so a sample shows which rows it took."""
+    return np.array([float(tag), -float(tag)]), tag, float(tag), np.array([float(tag), 0.5])
+
+
+class TestReplayBuffer:
     def test_push_and_len(self):
         buf = ReplayBuffer(4)
         assert len(buf) == 0
-        buf.push(self.make_transition(0))
+        buf.push(*tagged_row(0))
         assert len(buf) == 1
+
+    def test_columns_allocated_on_first_push(self):
+        buf = ReplayBuffer(5)
+        assert buf.columns == ()
+        buf.push(np.zeros(3), 1, 0.5, np.ones(3))
+        assert [c.shape for c in buf.columns] == [(5, 3), (5,), (5,), (5, 3)]
+        assert [c.dtype for c in buf.columns] == [np.float64, np.intp, np.float64, np.float64]
+        first = buf.columns
+        buf.push(np.ones(3), 2, 1.5, np.zeros(3))
+        assert all(a is b for a, b in zip(first, buf.columns))
 
     def test_overwrites_oldest_when_full(self):
         buf = ReplayBuffer(3)
         for tag in range(5):
-            buf.push(self.make_transition(tag))
+            buf.push(*tagged_row(tag))
         assert len(buf) == 3
-        assert sorted(t.action for t in buf.items) == [2, 3, 4]
+        states, actions, rewards, next_states = buf.columns
+        # Rows 0 and 1 held tags 0 and 1, which tags 3 and 4 overwrote.
+        assert actions.tolist() == [3, 4, 2]
+        assert np.array_equal(states[:, 0], actions) and np.array_equal(rewards, actions)
+        assert np.array_equal(next_states[:, 0], actions)
 
     def test_sample_without_replacement(self):
         buf = ReplayBuffer(8)
         for tag in range(8):
-            buf.push(self.make_transition(tag))
-        batch = buf.sample(8, np.random.default_rng(0))
-        assert sorted(t.action for t in batch) == list(range(8))
+            buf.push(*tagged_row(tag))
+        states, actions, rewards, next_states = buf.sample(8, np.random.default_rng(0))
+        assert sorted(actions.tolist()) == list(range(8))
+        # Each sampled row keeps its four fields together.
+        assert np.array_equal(states, np.stack([tagged_row(a)[0] for a in actions]))
+        assert np.array_equal(rewards, actions) and np.array_equal(next_states[:, 0], actions)
 
     def test_sample_too_large(self):
         buf = ReplayBuffer(4)
-        buf.push(self.make_transition(0))
-        with pytest.raises(ValueError):
+        buf.push(*tagged_row(0))
+        with pytest.raises(ValueError, match="cannot sample 2 from 1 stored"):
             buf.sample(2, np.random.default_rng(0))
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ReplayBuffer(0)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(1, 20), st.integers(0, 60), st.data())
+    def test_sample_matches_list_buffer(self, capacity, pushes, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        width = data.draw(st.integers(1, 4))
+        rows = np.random.default_rng(seed).normal(size=(pushes, 2 * width + 1))
+        actions = np.random.default_rng(seed + 1).integers(0, 19, size=pushes).tolist()
+        columns, reference = ReplayBuffer(capacity), ListReplayBuffer(capacity)
+        for row, action in zip(rows, actions):
+            state, reward, next_state = row[:width], float(row[width]), row[width + 1:]
+            columns.push(state, action, reward, next_state)
+            reference.push(Transition(state, action, reward, next_state))
+        assert len(columns) == len(reference) == min(pushes, capacity)
+        batch = data.draw(st.integers(0, len(reference)))
+        rng_columns, rng_reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = columns.sample(batch, rng_columns)
+        expected = reference.sample(batch, rng_reference)
+        assert rng_columns.bit_generator.state == rng_reference.bit_generator.state
+        if batch == 0:
+            # The reference stacking cannot stack an empty batch; training never samples one.
+            assert expected == [] and all(len(column) == 0 for column in got)
+            return
+        for a, b in zip(got, stack_batch(expected), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="cannot sample"):
+            columns.sample(len(reference) + 1, rng_columns)
+
 
 class TestUpdate:
     def make_batch(self, rng, size=4, state=3, actions=2):
-        return [
-            Transition(
-                rng.normal(size=state),
-                int(rng.integers(actions)),
-                float(rng.normal()),
-                rng.normal(size=state),
-            )
-            for _ in range(size)
-        ]
+        return (
+            rng.normal(size=(size, state)),
+            rng.integers(actions, size=size),
+            rng.normal(size=size),
+            rng.normal(size=(size, state)),
+        )
 
     def test_targets_use_target_network_max(self):
         rng = np.random.default_rng(7)
         net = Mlp((3, 6, 2), rng)
         target = Mlp((3, 6, 2), np.random.default_rng(8))
-        batch = self.make_batch(rng)
-
-        states = np.stack([t.state for t in batch])
-        actions = np.array([t.action for t in batch])
-        rewards = np.array([t.reward for t in batch])
-        next_states = np.stack([t.next_state for t in batch])
+        states, actions, rewards, next_states = batch = self.make_batch(rng)
         expected_targets = rewards + 0.9 * target.forward(next_states).max(axis=1)
         expected_loss = net.gradients(states, actions, expected_targets)[2]
 
@@ -348,7 +439,7 @@ class TestUpdate:
         net = Mlp((3, 6, 2), rng)
         target = net.copy()
         batch = self.make_batch(rng)
-        batch[0] = batch[0]._replace(reward=math.inf)
+        batch[2][0] = math.inf
         before = [w.copy() for w in net.weights]
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite gradient"):
             mlp_update(net, target, batch, 0.9, 0.1)
@@ -453,6 +544,15 @@ class TestPersistence:
             load_policy(blob[:-8])
         with pytest.raises(ValueError, match="trailing"):
             load_policy(blob + b"\x00" * 8)
+
+    @pytest.mark.parametrize("size", [200_000, 2**32 - 1])
+    def test_declared_sizes_beyond_payload(self, size):
+        # A 17-byte header may declare any layer sizes; nothing is allocated
+        # for them before the payload shows it holds their parameters.
+        header = b"QNET" + struct.pack("<BI2I", 1, 2, size, size)
+        assert len(header) == 17
+        with pytest.raises(ValueError, match="policy payload truncated in layer 0 parameters"):
+            load_policy(header)
 
     def test_non_finite_parameters_rejected(self):
         net = Mlp((2, 2), np.random.default_rng(23))
