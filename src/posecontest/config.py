@@ -124,20 +124,15 @@ def user_clip(cfg: RunConfig, index: int) -> SkeletonSequence:
     )
 
 
-def build_contestants(cfg: RunConfig) -> list[ContestantState]:
-    """Generate each user's clip and derive their contest state."""
-    return [
-        ContestantState.from_sequence(i + 1, user_clip(cfg, i), cfg.render_method)
-        for i in range(cfg.users)
-    ]
-
-
 def build_scenario(cfg: RunConfig) -> ScenarioConfig:
-    """Assemble the contest instance this config describes, starting from an
-    equal prize split."""
+    """Assemble the contest instance this config describes: each user's clip
+    and contest state, starting from an equal prize split."""
     share = cfg.pool / cfg.users
     return ScenarioConfig(
-        contestants=build_contestants(cfg),
+        contestants=[
+            ContestantState.from_sequence(i + 1, user_clip(cfg, i), cfg.render_method)
+            for i in range(cfg.users)
+        ],
         budget=cfg.budget,
         awards=AwardSetting((share,) * cfg.users),
         selection_mode=cfg.selection_mode,

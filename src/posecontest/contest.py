@@ -12,7 +12,7 @@ keep total rendering loss low inside an upload budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,45 +142,32 @@ def expected_payment(
 
 @dataclass
 class ContestantState:
-    """One enrolled user: their clip plus everything derived from it.
-
-    loss_table caches the rendering loss at every admissible upload rate, so
-    effort selection never re-renders the clip.
+    """One enrolled user: their id and their clip's rendering loss at every
+    admissible upload rate.  The rest is derived once from loss_table: the
+    native rate (its largest rate), the effort set (its rates, the divisors of
+    the native rate) and the capability (the reference-rate loss, floored).
     """
 
     user_id: int
-    sequence: SkeletonSequence
-    native_rate: int
-    effort_set: tuple[int, ...]
-    capability: float
     loss_table: dict[int, float]
+    native_rate: int = field(init=False)
+    effort_set: tuple[int, ...] = field(init=False)
+    capability: float = field(init=False)
 
     def __post_init__(self):
         if self.user_id < 0:
             raise ValueError("user_id must be non-negative")
-        if self.native_rate != self.sequence.native_rate:
-            raise ValueError("native_rate must match the sequence")
-        if tuple(self.effort_set) != divisors(self.native_rate):
-            raise ValueError("effort_set must be the divisors of the native rate")
-        if set(self.loss_table) != set(self.effort_set):
-            raise ValueError("loss_table must cover exactly the effort set")
-        if self.capability <= 0:
-            raise ValueError("capability must be positive")
+        rates = tuple(sorted(self.loss_table))
+        if not rates or rates != divisors(rates[-1]):
+            raise ValueError("loss_table must cover exactly the divisors of its largest rate")
+        self.native_rate, self.effort_set = rates[-1], rates
+        self.capability = max(self.loss_table[REFERENCE_RATE], CAPABILITY_FLOOR)
 
     @classmethod
     def from_sequence(
         cls, user_id: int, sequence: SkeletonSequence, method: str = "hold"
     ) -> "ContestantState":
-        effort_set = divisors(sequence.native_rate)
-        table = {f: downsampling_loss(sequence, f, method) for f in effort_set}
-        return cls(
-            user_id=user_id,
-            sequence=sequence,
-            native_rate=sequence.native_rate,
-            effort_set=effort_set,
-            capability=max(table[REFERENCE_RATE], CAPABILITY_FLOOR),
-            loss_table=table,
-        )
+        return cls(user_id, {f: downsampling_loss(sequence, f, method) for f in divisors(sequence.native_rate)})
 
 
 def population_from(contestants: list[ContestantState]) -> PopulationModel:

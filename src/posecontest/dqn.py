@@ -379,11 +379,15 @@ class PolicyEvaluation:
     """
 
     final_state: Round
-    final_total_loss: float
-    final_feasible: bool
     best_state: Round | None
-    best_total_loss: float
-    steps: int
+
+    @property
+    def final_total_loss(self) -> float:
+        return self.final_state.total_loss
+
+    @property
+    def best_total_loss(self) -> float:
+        return math.inf if self.best_state is None else self.best_state.total_loss
 
 
 def evaluate_policy(net: Mlp, env: ContestEnv, steps: int = 100) -> PolicyEvaluation:
@@ -398,14 +402,7 @@ def evaluate_policy(net: Mlp, env: ContestEnv, steps: int = 100) -> PolicyEvalua
         # Strictly lower, so the earliest-visited state wins a tie.
         if state.feasible and (best_state is None or state.total_loss < best_state.total_loss):
             best_state = state
-    return PolicyEvaluation(
-        final_state=state,
-        final_total_loss=state.total_loss,
-        final_feasible=state.feasible,
-        best_state=best_state,
-        best_total_loss=math.inf if best_state is None else best_state.total_loss,
-        steps=steps,
-    )
+    return PolicyEvaluation(state, best_state)
 
 
 # --- persistence ----------------------------------------------------------

@@ -250,16 +250,6 @@ def generate_synthetic(
     return SkeletonSequence(coords, native_rate, user_label=profile.kind)
 
 
-def _check_upload_rate(sequence: SkeletonSequence, upload_rate: int) -> int:
-    if not isinstance(upload_rate, (int, np.integer)) or upload_rate < 1:
-        raise ValueError(f"upload_rate must be a positive integer, got {upload_rate!r}")
-    if sequence.native_rate % upload_rate != 0:
-        raise ValueError(
-            f"upload_rate {upload_rate} must divide the native rate {sequence.native_rate}"
-        )
-    return sequence.native_rate // upload_rate
-
-
 def downsample_render(
     sequence: SkeletonSequence, upload_rate: int, method: str = "hold"
 ) -> SkeletonSequence:
@@ -278,7 +268,13 @@ def downsample_render(
     Returns:
         A sequence of the same shape containing the rendered frames.
     """
-    period = _check_upload_rate(sequence, upload_rate)
+    if not isinstance(upload_rate, (int, np.integer)) or upload_rate < 1:
+        raise ValueError(f"upload_rate must be a positive integer, got {upload_rate!r}")
+    if sequence.native_rate % upload_rate != 0:
+        raise ValueError(
+            f"upload_rate {upload_rate} must divide the native rate {sequence.native_rate}"
+        )
+    period = sequence.native_rate // upload_rate
     frames = sequence.frame_count
     anchor = (np.arange(frames) // period) * period
     if method == "hold":

@@ -12,7 +12,6 @@ from posecontest.cli import main
 from posecontest.config import (
     ConfigError,
     RunConfig,
-    build_contestants,
     build_scenario,
     data_seed,
     parse_config,
@@ -268,9 +267,9 @@ class TestBuildScenario:
         assert data_seed(0, 0) != data_seed(1, 0)
 
     def test_contestants_follow_profiles(self, tiny_cfg):
-        field = build_contestants(tiny_cfg)
+        field = build_scenario(tiny_cfg).contestants
         assert [c.user_id for c in field] == [1, 2, 3]
-        assert [c.sequence.user_label for c in field] == ["run", "wave", "stand"]
+        assert [config.user_clip(tiny_cfg, i).user_label for i in range(3)] == ["run", "wave", "stand"]
         assert all(c.native_rate == 6 for c in field)
 
     def test_scenario_starts_from_equal_split(self, tiny_cfg):

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posecontest.contest import (
     CAPABILITY_FLOOR,
@@ -21,7 +23,8 @@ from posecontest.contest import (
     simulate_contest,
     win_cdf,
 )
-from posecontest.skeleton import SkeletonSequence, generate_synthetic, get_profile
+from posecontest.config import RENDER_METHODS
+from posecontest.skeleton import DEFAULT_PROFILES, SkeletonSequence, generate_synthetic, get_profile
 
 
 def make_contestant(user_id, kind="run", rate=6, frames=12, seed=0):
@@ -154,16 +157,42 @@ class TestContestantState:
 
     def test_cross_validation(self):
         c = make_contestant(1)
-        with pytest.raises(ValueError, match="match the sequence"):
-            replace_field(c, native_rate=12)
-        with pytest.raises(ValueError, match="divisors"):
-            replace_field(c, effort_set=(1, 2))
         with pytest.raises(ValueError, match="cover exactly"):
-            replace_field(c, loss_table={1: 0.0})
-        with pytest.raises(ValueError, match="capability"):
-            replace_field(c, capability=0.0)
+            replace(c, loss_table={1: 0.0, 2: 0.0, 6: 0.0})
         with pytest.raises(ValueError, match="user_id"):
-            replace_field(c, user_id=-1)
+            replace(c, user_id=-1)
+
+    @pytest.mark.parametrize("table", [{}, {2: 0.0}, {1: 0.0, 2: 0.0, 3: 0.0}])
+    def test_table_must_be_divisors_of_its_largest_rate(self, table):
+        with pytest.raises(ValueError, match="cover exactly"):
+            ContestantState(1, table)
+
+    @pytest.mark.parametrize("name", ["native_rate", "effort_set", "capability"])
+    def test_derived_attributes_are_not_init_fields(self, name):
+        c = make_contestant(1)
+        with pytest.raises(TypeError):
+            ContestantState(1, dict(c.loss_table), **{name: getattr(c, name)})
+        with pytest.raises(ValueError, match="init=False"):
+            replace(c, **{name: getattr(c, name)})
+
+    def test_replace_rederives(self):
+        c = replace(make_contestant(1), loss_table={1: 0.5, 2: 0.25, 4: 0.0})
+        assert (c.native_rate, c.effort_set, c.capability) == (4, (1, 2, 4), 0.5)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        st.sampled_from(sorted(DEFAULT_PROFILES)),
+        st.integers(1, 60),
+        st.sampled_from(RENDER_METHODS),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_derived_from_the_loss_table(self, kind, rate, method, seed):
+        seq = generate_synthetic(get_profile(kind), 2 * rate, rate, seed=seed)
+        c = ContestantState.from_sequence(1, seq, method)
+        assert c.native_rate == seq.native_rate
+        assert c.effort_set == divisors(rate)
+        assert c.capability == max(c.loss_table[1], CAPABILITY_FLOOR)
+        assert ContestantState(c.user_id, dict(c.loss_table)) == c
 
     def test_population_from(self):
         field = [make_contestant(1, "run"), make_contestant(2, "stand")]
@@ -171,19 +200,6 @@ class TestContestantState:
         assert pop.max_capability == max(c.capability for c in field)
         with pytest.raises(ValueError):
             population_from([])
-
-
-def replace_field(contestant, **kwargs):
-    fields = dict(
-        user_id=contestant.user_id,
-        sequence=contestant.sequence,
-        native_rate=contestant.native_rate,
-        effort_set=contestant.effort_set,
-        capability=contestant.capability,
-        loss_table=contestant.loss_table,
-    )
-    fields.update(kwargs)
-    return ContestantState(**fields)
 
 
 def best_response(scenario, mode="net"):

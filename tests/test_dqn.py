@@ -505,9 +505,7 @@ class TestTraining:
         net, _ = train(tiny_scenario, tiny_cfg.dqn)
         env = ContestEnv(tiny_scenario)
         ev = evaluate_policy(net, env, steps=10)
-        assert ev.steps == 10
-        _, final_loss, final_feasible = tiny_scenario.round_loss(ev.final_state.efforts)
-        assert (ev.final_total_loss, ev.final_feasible) == (final_loss, final_feasible)
+        assert ev.final_total_loss == tiny_scenario.round_loss(ev.final_state.efforts)[1]
         # the equal-split start is feasible here, so a best state must exist
         assert ev.best_state is not None
         assert tiny_scenario.round_loss(ev.best_state.efforts)[1:] == (ev.best_total_loss, True)

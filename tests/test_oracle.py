@@ -206,12 +206,8 @@ class TestEffortSearch:
 
     def test_exact_ties_go_to_smallest_rates(self):
         # Dyadic losses sum exactly: (1, 4, 2), (2, 1, 4) and (2, 4, 1) all lose 1.75.
-        clip = generate_synthetic(get_profile("run"), 8, 4)
         tables = ((0.5, 0.25, 0.25), (1.0, 1.0, 0.5), (1.0, 0.75, 0.5))
-        field = [
-            replace(ContestantState.from_sequence(i + 1, clip), loss_table=dict(zip((1, 2, 4), t)))
-            for i, t in enumerate(tables)
-        ]
+        field = [ContestantState(i + 1, dict(zip((1, 2, 4), t))) for i, t in enumerate(tables)]
         scenario = ScenarioConfig(field, 7, AwardSetting((1.0,) * 3))
         assert exhaustive_effort_search(scenario) == ((1, 4, 2), 1.75)
 
