@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posecontest.config import RENDER_METHODS
 from posecontest.contest import (
     CAPABILITY_FLOOR,
     SELECTION_MODES,
@@ -23,7 +24,6 @@ from posecontest.contest import (
     simulate_contest,
     win_cdf,
 )
-from posecontest.config import RENDER_METHODS
 from posecontest.skeleton import DEFAULT_PROFILES, SkeletonSequence, generate_synthetic, get_profile
 
 

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecontest.contest import AwardSetting, ContestantState, ScenarioConfig
+from posecontest.contest import AwardSetting, ContestantState, Round, ScenarioConfig
 from posecontest.dqn import (
     ContestEnv,
     DqnConfig,
     Mlp,
+    PolicyEvaluation,
     ReplayBuffer,
     apply_action,
     enumerate_actions,
@@ -519,6 +520,13 @@ class TestTraining:
         assert ev.best_state == ev.final_state
         with pytest.raises(ValueError):
             evaluate_policy(net, env, steps=-1)
+
+    def test_evaluation_losses_come_from_its_rounds(self):
+        final = Round((4.0, 4.0, 4.0), (1, 1, 1), 2.0, True)
+        best = Round((6.0, 3.0, 3.0), (2, 1, 1), 1.0, True)
+        ev = PolicyEvaluation(final, best)
+        assert (ev.final_total_loss, ev.best_total_loss) == (2.0, 1.0)
+        assert PolicyEvaluation(final, None).best_total_loss == math.inf
 
 
 class TestPersistence:
