@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,8 +286,7 @@ class ScenarioConfig:
         return per_user, float(sum(per_user)), sum(efforts) <= self.budget
 
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     """One prize vector, the upload rates it induces, and that round's total
     loss and budget feasibility (as round_loss scores them)."""
 

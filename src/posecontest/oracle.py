@@ -14,11 +14,11 @@ from .contest import BestResponse, Round, ScenarioConfig
 _SEARCH_BLOCK = 512
 
 
-def award_grid(pool: float, n_contestants: int, step: float) -> tuple[tuple[float, ...], ...]:
-    """All non-increasing prize vectors of length n summing to pool on a step lattice.
+def award_grid(pool: float, n_contestants: int, step: float) -> np.ndarray:
+    """All non-increasing prize vectors of length n summing to pool on a step
+    lattice, one per row of a (vectors, n) float64 array.
 
-    step must evenly divide pool.  Vectors are returned in increasing
-    lexicographic order.
+    step must evenly divide pool.  Rows ascend in lexicographic order.
     """
     if n_contestants < 1:
         raise ValueError("n_contestants must be at least 1")
@@ -38,7 +38,7 @@ def award_grid(pool: float, n_contestants: int, step: float) -> tuple[tuple[floa
         part = least[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
         parts = np.column_stack([parts[rows], part])
         left, cap = left[rows] - part, part
-    return tuple(map(tuple, (parts * step).tolist()))
+    return parts * step
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,17 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     for table, c in zip(loss_at, scenario.contestants):  # user, rate
         table[list(c.loss_table)] = list(c.loss_table.values())
     grid = award_grid(scenario.awards.pool, scenario.n_contestants, step)
-    entries: list[Round] = []
-    for start in range(0, len(grid), _SEARCH_BLOCK):
-        block = grid[start:start + _SEARCH_BLOCK]
-        efforts = responses.efforts_many(np.array(block))
-        # Summed over the users in field order from 0, as round_loss's sum adds them.
-        losses = sum(table[column] for table, column in zip(loss_at, efforts.T))
-        feasible = efforts.sum(axis=1) <= scenario.budget
-        entries += map(Round, block, map(tuple, efforts.tolist()), losses.tolist(), feasible.tolist())
+    blocks = (grid[start:start + _SEARCH_BLOCK] for start in range(0, len(grid), _SEARCH_BLOCK))
+    efforts = np.concatenate([responses.efforts_many(block) for block in blocks])
+    # Summed over the users in field order from 0, as round_loss's sum adds them.
+    losses = sum(table[column] for table, column in zip(loss_at, efforts.T))
+    feasible = efforts.sum(axis=1) <= scenario.budget
+    columns = map(tuple, grid.tolist()), map(tuple, efforts.tolist()), losses.tolist(), feasible.tolist()
+    entries = tuple(map(Round, *columns))
     # min keeps the first of equal losses, and the grid ascends, so the smallest vector wins a tie.
     best = min((e for e in entries if e.feasible), key=lambda e: e.total_loss, default=None)
     found = (None, math.inf, None) if best is None else (best.prizes, best.total_loss, best.efforts)
-    return AwardSearchResult(*found, len(entries), tuple(entries))
+    return AwardSearchResult(*found, len(entries), entries)
 
 
 def exhaustive_effort_search(scenario: ScenarioConfig) -> tuple[tuple[int, ...], float]:
@@ -135,10 +134,9 @@ def average_baseline(scenario: ScenarioConfig) -> tuple[tuple[int, ...], float]:
 
 def format_search_ledger(result: AwardSearchResult) -> str:
     """Render a search result as CSV with one row per evaluated prize vector."""
-    lines = ["awards,efforts,total_loss,feasible"]
-    for e in result.entries:
-        awards = " ".join(repr(p) for p in e.prizes)
-        efforts = " ".join(str(f) for f in e.efforts)
-        feasible = "true" if e.feasible else "false"
-        lines.append(f"{awards},{efforts},{repr(e.total_loss)},{feasible}")
-    return "\n".join(lines) + "\n"
+    rows = [
+        f"{' '.join(map(repr, prizes))},{' '.join(map(str, efforts))},{total_loss!r},"
+        f"{'true' if feasible else 'false'}"
+        for prizes, efforts, total_loss, feasible in result.entries
+    ]
+    return "\n".join(["awards,efforts,total_loss,feasible", *rows]) + "\n"

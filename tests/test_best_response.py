@@ -107,7 +107,7 @@ def ragged_field():
 
 @pytest.mark.parametrize("mode", SELECTION_MODES)
 def test_default_step1_lattice(default_scenario, mode):
-    lattice = award_grid(100.0, 4, 1.0)
+    lattice = [*map(tuple, award_grid(100.0, 4, 1.0).tolist())]
     assert len(lattice) == 8037
     assert mismatches(default_scenario.contestants, lattice, mode) == []
 
@@ -115,14 +115,14 @@ def test_default_step1_lattice(default_scenario, mode):
 @pytest.mark.parametrize("mode", SELECTION_MODES)
 def test_small_lattice(mode):
     scenario = build_scenario(SMALL)
-    lattice = award_grid(SMALL.pool, SMALL.users, SMALL.search_step)
+    lattice = [*map(tuple, award_grid(SMALL.pool, SMALL.users, SMALL.search_step).tolist())]
     assert mismatches(scenario.contestants, lattice, mode) == []
 
 
 @pytest.mark.parametrize("mode", SELECTION_MODES)
 def test_ragged_field(ragged_field, mode):
     assert [c.native_rate for c in ragged_field] == [12, 30, 60]
-    assert mismatches(ragged_field, award_grid(30.0, 3, 1.0), mode) == []
+    assert mismatches(ragged_field, [*map(tuple, award_grid(30.0, 3, 1.0).tolist())], mode) == []
 
 
 @pytest.mark.parametrize("mode", SELECTION_MODES)

@@ -16,6 +16,7 @@ from posecontest.contest import (
     BestResponse,
     ContestantState,
     PopulationModel,
+    Round,
     ScenarioConfig,
     cost,
     divisors,
@@ -259,6 +260,16 @@ class TestScenarioConfig:
         assert updated.awards.prizes == (6.0, 6.0, 0.0)
         assert updated.contestants is tiny_scenario.contestants
         assert tiny_scenario.awards.prizes == (4.0, 4.0, 4.0)
+
+
+class TestRound:
+    def test_fields_in_order(self):
+        # The ledger, the env memo and PolicyEvaluation read these by name, and the
+        # search ledger unpacks them by position.
+        r = Round((6.0, 3.0), (2, 1), 1.5, True)
+        assert Round._fields == ("prizes", "efforts", "total_loss", "feasible")
+        assert tuple(r) == ((6.0, 3.0), (2, 1), 1.5, True)
+        assert (r.prizes, r.efforts, r.total_loss, r.feasible) == tuple(r)
 
 
 class TestSimulateContest:

@@ -16,6 +16,7 @@ from posecontest.contest import (
     BestResponse,
     ContestantState,
     ScenarioConfig,
+    divisors,
     simulate_contest,
 )
 from posecontest.dqn import ContestEnv
@@ -44,9 +45,18 @@ def random_field(seed):
     return [ScenarioConfig(contestants, b, AwardSetting((1.0,) * n)) for b in budgets]
 
 
+@st.composite
+def ragged_fields(draw):
+    """1-6 users with unlike native rates and loss tables drawn directly, often
+    from a few dyadic values so that users and rates tie exactly."""
+    losses = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 10.0))
+    rates = draw(st.lists(st.sampled_from([1, 2, 4, 6, 12, 30]), min_size=1, max_size=6))
+    return [ContestantState(i + 1, {f: draw(losses) for f in divisors(r)}) for i, r in enumerate(rates)]
+
+
 class TestAwardGrid:
     def test_small_case_enumerated_by_hand(self):
-        grid = award_grid(30.0, 3, 5.0)
+        grid = [*map(tuple, award_grid(30.0, 3, 5.0).tolist())]
         expected = {
             (30.0, 0.0, 0.0),
             (25.0, 5.0, 0.0),
@@ -57,7 +67,7 @@ class TestAwardGrid:
             (10.0, 10.0, 10.0),
         }
         assert set(grid) == expected
-        assert list(grid) == sorted(grid)
+        assert grid == sorted(grid)
 
     def test_matches_filtered_product(self):
         # independent enumeration: all compositions, kept when sorted
@@ -69,9 +79,22 @@ class TestAwardGrid:
                 for combo in itertools.product(range(units + 1), repeat=n)
                 if sum(combo) == units and all(a >= b for a, b in zip(combo, combo[1:]))
             }
-            grid = award_grid(pool, n, step)
+            grid = [*map(tuple, award_grid(pool, n, step).tolist())]
             assert len(grid) == len(brute) and set(grid) == brute
-            assert list(grid) == sorted(grid)
+            assert grid == sorted(grid)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(1, 5), st.integers(0, 9), st.sampled_from([1.0, 5.0, 2.5, 0.7, 0.1, 1 / 3]))
+    def test_matches_filtered_product_for_any_lattice(self, n, units, step):
+        grid = award_grid(units * step, n, step)
+        assert grid.dtype == np.float64 and grid.shape[1] == n
+        brute = sorted(
+            tuple(u * step for u in combo)
+            for combo in itertools.product(range(units + 1), repeat=n)
+            if sum(combo) == units and all(a >= b for a, b in zip(combo, combo[1:]))
+        )
+        # Equal to the sorted distinct vectors: the same set, ascending, no duplicates.
+        assert [*map(tuple, grid.tolist())] == brute
 
     def test_entries_are_valid_prize_vectors(self):
         for entry in award_grid(100.0, 4, 5.0):
@@ -81,7 +104,8 @@ class TestAwardGrid:
             assert entry[-1] >= 0.0
 
     def test_single_slot(self):
-        assert award_grid(10.0, 1, 5.0) == ((10.0,),)
+        grid = award_grid(10.0, 1, 5.0)
+        assert grid.dtype == np.float64 and grid.tolist() == [[10.0]]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -97,7 +121,7 @@ class TestAwardGrid:
 class TestAwardSearch:
     def test_finds_the_grid_minimum(self, tiny_scenario):
         result = exhaustive_award_search(tiny_scenario, 3.0)
-        grid = award_grid(12.0, 3, 3.0)
+        grid = [*map(tuple, award_grid(12.0, 3, 3.0).tolist())]
         assert result.evaluated == len(grid) == len(result.entries)
 
         feasible = []
@@ -113,7 +137,7 @@ class TestAwardSearch:
 
     def test_entries_align_with_grid(self, tiny_scenario):
         result = exhaustive_award_search(tiny_scenario, 6.0)
-        assert tuple(e.prizes for e in result.entries) == award_grid(12.0, 3, 6.0)
+        assert [e.prizes for e in result.entries] == [*map(tuple, award_grid(12.0, 3, 6.0).tolist())]
         for e in result.entries:
             outcome = simulate_contest(tiny_scenario.with_awards(e.prizes))
             assert e.efforts == outcome.efforts
@@ -188,6 +212,34 @@ class TestAwardSearch:
             assert [type(v) for v in (*got.efforts, got.total_loss, got.feasible)] == [
                 type(v) for v in (*e.efforts, e.total_loss, e.feasible)
             ]
+
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(ragged_fields(), st.sampled_from(SELECTION_MODES), st.sampled_from([1.0, 2.5, 0.7]),
+           st.integers(1, 12), st.floats(0.0, 1.0))
+    def test_any_block_size_matches_kernel_and_round_loss(self, field, mode, step, units, spare):
+        n = len(field)
+        budget = n + round(spare * sum(c.native_rate - 1 for c in field))
+        scenario = ScenarioConfig(field, budget, AwardSetting((units * step / n,) * n), mode)
+        grid = [*map(tuple, award_grid(scenario.awards.pool, n, step).tolist())]
+        kernel = BestResponse(field, mode)
+        for block in (1, 2, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "_SEARCH_BLOCK", block)
+                result = exhaustive_award_search(scenario, step)
+            assert [e.prizes for e in result.entries] == grid
+            assert result.evaluated == len(grid)
+            best = None
+            for e in result.entries:
+                assert e.efforts == kernel.efforts(e.prizes)
+                assert (e.total_loss, e.feasible) == scenario.round_loss(e.efforts)[1:]
+                assert [type(v) for v in (*e.prizes, *e.efforts, e.total_loss, e.feasible)] == (
+                    [float] * n + [int] * n + [float, bool]
+                )
+                if e.feasible and (best is None or e.total_loss < best.total_loss):
+                    best = e  # the first of equal losses
+            found = (None, math.inf, None) if best is None else (best.prizes, best.total_loss, best.efforts)
+            assert (result.best_prizes, result.best_total_loss, result.best_efforts) == found
 
 
 class TestEffortSearch:
