@@ -140,8 +140,6 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
 
     base_efforts, base_loss = average_baseline(scenario)
-    # RunConfig keeps the budget at or above the user count, so the equal-split
-    # start (every user at rate 1) is feasible and a best state always exists.
     best = evaluate_policy(net, env, steps=cfg.dqn.steps_per_episode).best_state
     dqn_loss, dqn_efforts = best.total_loss, best.efforts
     floor_efforts, floor_loss = exhaustive_effort_search(scenario)
@@ -203,7 +201,10 @@ def cmd_codec(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
     scenario = build_scenario(cfg)
-    result = exhaustive_award_search(scenario, cfg.search_step)
+    try:
+        result = exhaustive_award_search(scenario, cfg.search_step)
+    except ValueError as exc:  # the lattice step does not divide the pool
+        raise ConfigError(str(exc)) from None
     path = _write(cfg, "search.csv", format_search_ledger(result).encode("utf-8"))
 
     print(f"wrote {path}: {result.evaluated} prize vectors evaluated")

@@ -251,7 +251,7 @@ class BestResponse:
 
 @dataclass
 class ScenarioConfig:
-    """A full contest instance: the field, the budget, and the prize vector."""
+    """A full contest instance: the field, a budget of 1 frame/s per user or more, and the prize vector."""
 
     contestants: list[ContestantState]
     budget: int
@@ -264,8 +264,8 @@ class ScenarioConfig:
         ids = [c.user_id for c in self.contestants]
         if len(set(ids)) != len(ids):
             raise ValueError("contestant user_ids must be unique")
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
+        if self.budget < len(self.contestants):
+            raise ValueError(f"budget {self.budget} is below the user count {len(self.contestants)}")
         if self.awards.count > len(self.contestants):
             raise ValueError("more prizes than contestants")
         if self.selection_mode not in SELECTION_MODES:

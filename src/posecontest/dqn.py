@@ -18,14 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contest import BestResponse, Round, ScenarioConfig
+from .contest import CAPABILITY_FLOOR, BestResponse, Round, ScenarioConfig
 
-# The one reward rule, ContestEnv.step's: reward_scale / total loss for a round
-# inside the upload budget, 0.0 for one over it.
+# The one reward rule, ContestEnv.step's: reward_scale / total loss (floored) for
+# a round inside the upload budget, 0.0 for one over it.
 REWARD_MODES = ("strict",)
-
-# A perfect zero-loss round would make the inverse reward blow up.
-REWARD_LOSS_FLOOR = 1e-9
 
 POLICY_MAGIC = b"QNET"
 POLICY_VERSION = 1
@@ -88,6 +85,10 @@ class ContestEnv:
         self.pool = scenario.awards.pool
         self._rates = np.array([c.native_rate for c in scenario.contestants], dtype=np.float64)
         self.responses = BestResponse(scenario.contestants, scenario.selection_mode)
+        # A loss at or under CAPABILITY_FLOOR is rounding (an aliased clip loses ~1e-15), not
+        # motion.  Only a round of such losses totals under the least loss above it; with none, 1.
+        losses = [x for c in scenario.contestants for x in c.loss_table.values() if x > CAPABILITY_FLOOR]
+        self._loss_floor = min(losses, default=1.0)
         self._states: dict[tuple[float, ...], Round] = {}  # by prize vector
 
     @property
@@ -106,7 +107,7 @@ class ContestEnv:
     def step(self, state: Round, action: tuple[int, ...]) -> tuple[Round, float]:
         """Apply one prize move, let users re-pick rates, score the round."""
         nxt = self._state(apply_action(state.prizes, action))
-        return nxt, self.reward_scale / max(nxt.total_loss, REWARD_LOSS_FLOOR) if nxt.feasible else 0.0
+        return nxt, self.reward_scale / max(nxt.total_loss, self._loss_floor) if nxt.feasible else 0.0
 
     def _state(self, prizes: tuple[float, ...]) -> Round:
         # The one place a state's round is scored, once per prize vector.  Moves
@@ -374,12 +375,12 @@ class PolicyEvaluation:
     """What a greedy rollout from the equal split actually achieves.
 
     best_state is the lowest-loss feasible state seen anywhere along the
-    rollout (the prize setting the policy would hand to the operator), or
-    None when every visited state blew the budget.
+    rollout (the prize setting the policy would hand to the operator); the
+    equal-split start is feasible, so there always is one.
     """
 
     final_state: Round
-    best_state: Round | None
+    best_state: Round
 
     @property
     def final_total_loss(self) -> float:
@@ -387,7 +388,7 @@ class PolicyEvaluation:
 
     @property
     def best_total_loss(self) -> float:
-        return math.inf if self.best_state is None else self.best_state.total_loss
+        return self.best_state.total_loss
 
 
 def evaluate_policy(net: Mlp, env: ContestEnv, steps: int = 100) -> PolicyEvaluation:
@@ -395,12 +396,12 @@ def evaluate_policy(net: Mlp, env: ContestEnv, steps: int = 100) -> PolicyEvalua
     if steps < 0:
         raise ValueError("steps must be non-negative")
     state = env.initial_state()
-    best_state = state if state.feasible else None
+    best_state = state
     for _ in range(steps):
         action_index = greedy_action(net, env.state_vector(state))
         state, _ = env.step(state, env.actions[action_index])
         # Strictly lower, so the earliest-visited state wins a tie.
-        if state.feasible and (best_state is None or state.total_loss < best_state.total_loss):
+        if state.feasible and state.total_loss < best_state.total_loss:
             best_state = state
     return PolicyEvaluation(state, best_state)
 

@@ -67,11 +67,11 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     smallest prize vector.  The population model is calibrated once from the
     enrolled field so every vector is judged against the same opponents.
     """
+    grid = award_grid(scenario.awards.pool, scenario.n_contestants, step)
     responses = BestResponse(scenario.contestants, scenario.selection_mode)
     loss_at = np.zeros((scenario.n_contestants, max(c.native_rate for c in scenario.contestants) + 1))
     for table, c in zip(loss_at, scenario.contestants):  # user, rate
         table[list(c.loss_table)] = list(c.loss_table.values())
-    grid = award_grid(scenario.awards.pool, scenario.n_contestants, step)
     blocks = (grid[start:start + _SEARCH_BLOCK] for start in range(0, len(grid), _SEARCH_BLOCK))
     efforts = np.concatenate([responses.efforts_many(block) for block in blocks])
     # Summed over the users in field order from 0, as round_loss's sum adds them.
@@ -108,11 +108,6 @@ def exhaustive_effort_search(scenario: ScenarioConfig) -> tuple[tuple[int, ...],
                 if spent + f not in grown or candidate < grown[spent + f]:
                     grown[spent + f] = candidate
         best = grown
-    if not best:
-        raise ValueError(
-            f"budget {scenario.budget} is below the minimum total effort "
-            f"{scenario.n_contestants}"
-        )
     loss, efforts = min(best.values())
     return efforts, float(loss)
 
@@ -121,11 +116,6 @@ def average_baseline(scenario: ScenarioConfig) -> tuple[tuple[int, ...], float]:
     """Split the upload budget evenly: everyone gets budget/n, rounded down
     to their nearest admissible rate."""
     share = scenario.budget / scenario.n_contestants
-    if share < 1:
-        raise ValueError(
-            f"budget {scenario.budget} gives no admissible rate for "
-            f"{scenario.n_contestants} users"
-        )
     efforts = tuple(
         max(f for f in c.effort_set if f <= share) for c in scenario.contestants
     )

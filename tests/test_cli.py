@@ -1,23 +1,29 @@
 """Config parsing and the command-line harness."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import re
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posecontest import config
 from posecontest.cli import main
 from posecontest.config import (
+    RENDER_METHODS,
     ConfigError,
     RunConfig,
     build_scenario,
     data_seed,
     parse_config,
 )
+from posecontest.contest import CAPABILITY_FLOOR, SELECTION_MODES
 from posecontest.dqn import DqnConfig, load_policy
-from posecontest.skeleton import QuantBounds, load_sequence
+from posecontest.skeleton import DEFAULT_PROFILES, QuantBounds, load_sequence
 
 TINY_INI = """\
 [run]
@@ -422,6 +428,45 @@ class TestTrainCompare:
         assert not out.exists()
 
 
+class TestZeroLossRounds:
+    """Fields where a round inside the budget can lose nothing.  Each reward is
+    reward_scale over the round's loss, floored at the field's least per-user
+    loss above CAPABILITY_FLOOR, so no reward exceeds reward_scale over that floor."""
+
+    def train(self, tmp_path, scenario, episodes):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[scenario]\n{scenario}\n[dqn]\nepisodes = {episodes}\n")
+        assert run("train", "--config", str(ini), "--seed", "0", "--out", str(tmp_path / "out")) == 0
+        with open(tmp_path / "out" / "history.csv", newline="") as fh:
+            rewards = [float(row["mean_reward"]) for row in csv.DictReader(fh)]
+        assert len(rewards) == episodes
+        return build_scenario(parse_config(ini.read_text())), rewards
+
+    def test_rate_one_field(self, tmp_path):
+        # Every user's only rate is 1, so every round loses nothing and fits the
+        # budget: a field with nothing to tune earns reward_scale on every step.
+        scenario, rewards = self.train(tmp_path, "native_rate = 1\nbudget = 4", episodes=10)
+        assert all(loss == 0.0 for c in scenario.contestants for loss in c.loss_table.values())
+        assert rewards == [1.0] * 10
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            # 8,028 of the 8,037 step-1 lattice vectors lose nothing here.
+            "selection_mode = payment\nbudget = 240",
+            "users = 4\nnative_rate = 6\nbudget = 26\npool = 10\n"
+            "profiles = run, run, wave, stand\nselection_mode = payment",
+        ],
+        ids=["default-payment-budget-240", "four-users-rate-6-payment"],
+    )
+    def test_rewards_stay_under_the_field_ceiling(self, tmp_path, scenario):
+        scenario, rewards = self.train(tmp_path, scenario, episodes=5)
+        floor = min(x for c in scenario.contestants for x in c.loss_table.values() if x > CAPABILITY_FLOOR)
+        # A mean of 100 rewards, each at most the ceiling, up to the rounding of their sum.
+        assert max(rewards) <= (1.0 / floor) * (1 + 1e-12)
+        assert min(rewards) > 0.0
+
+
 class TestCodec:
     def test_generated_clip(self, tiny_ini, tmp_path, capsys):
         out = tmp_path / "out"
@@ -476,6 +521,90 @@ class TestSearch:
         assert rows[0] == "awards,efforts,total_loss,feasible"
         assert len(rows) == 2 + 1  # the step-5 grid over a pool of 10 is (10,0) and (5,5)
         assert "best prizes:" in capsys.readouterr().out
+
+    def test_step_not_dividing_the_pool_exits_2(self, tmp_path, capsys):
+        # The lattice needs whole steps to the pool; train accepts the same file.
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY_INI.replace("pool = 10", "pool = 3"))
+        out = tmp_path / "out"
+        assert run("search", "--config", str(ini), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "config error: step 5.0 does not divide pool 3.0\n"
+        assert not out.exists()
+        assert run("train", "--config", str(ini), "--out", str(out)) == 0
+
+
+@st.composite
+def accepted_configs(draw):
+    """Small config files RunConfig accepts: 1-4 users, native rates with many
+    divisors and rate 1, one frame and up, budgets from the user count to two
+    past every user at the native rate, non-integer pools, both selection modes
+    and render methods, and tiny learners."""
+    users = draw(st.integers(1, 4))
+    rate = draw(st.sampled_from([1, 2, 6, 12]))
+    step = draw(st.sampled_from([0.5, 1.0, 2.5, 5.0]))
+    pool = draw(st.one_of(st.integers(1, 12).map(lambda units: units * step), st.floats(0.1, 40.0)))
+    profiles = draw(st.lists(st.sampled_from(sorted(DEFAULT_PROFILES)), min_size=users, max_size=users))
+    batch = draw(st.integers(1, 4))
+    hidden = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
+    return f"""\
+[run]
+seed = {draw(st.integers(0, 2**16))}
+
+[scenario]
+users = {users}
+native_rate = {rate}
+frame_count = {draw(st.integers(1, 24))}
+budget = {draw(st.integers(users, users * rate + 2))}
+pool = {pool!r}
+profiles = {", ".join(profiles)}
+selection_mode = {draw(st.sampled_from(SELECTION_MODES))}
+render_method = {draw(st.sampled_from(RENDER_METHODS))}
+
+[dqn]
+episodes = {draw(st.integers(1, 3))}
+steps_per_episode = {draw(st.integers(1, 8))}
+batch_size = {batch}
+buffer_capacity = {draw(st.integers(batch, 16))}
+hidden_sizes = {", ".join(map(str, hidden))}
+target_sync = {draw(st.integers(1, 5))}
+
+[search]
+step = {step!r}
+"""
+
+
+class TestEveryAcceptedConfig:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(accepted_configs())
+    def test_each_command_works_or_exits_2(self, tmp_path_factory, text):
+        # Each command either writes its outputs, or exits 2 with a config error
+        # before it writes anything.
+        base = tmp_path_factory.mktemp("accepted")
+        ini = base / "run.ini"
+        ini.write_text(text)
+        users = parse_config(text).users
+        outputs = {
+            "gen": [f"user{i}.csv" for i in range(1, users + 1)],
+            "contest": ["contest.csv"],
+            "codec": ["payload.bin"],
+            "search": ["search.csv"],
+            "train": ["policy.bin", "history.csv"],
+            "compare": ["compare.csv"],
+        }
+        for command, names in outputs.items():
+            out = base / command
+            argv = [command, "--config", str(ini), "--out", str(out)]
+            if command == "compare":
+                argv += ["--policy", str(base / "train" / "policy.bin")]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 2:
+                assert err.getvalue().startswith("config error: "), command
+                assert not out.exists(), command
+            else:
+                assert code == 0, (command, err.getvalue())
+                assert sorted(p.name for p in out.iterdir()) == sorted(names), command
 
 
 class TestErrors:

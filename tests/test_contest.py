@@ -255,6 +255,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="at least one"):
             replace(tiny_scenario, contestants=[])
 
+    def test_budget_below_user_count(self, tiny_scenario):
+        # Every user uploads at least 1 frame/s, so no round fits a budget under the
+        # user count; the least budget fits the all-rate-1 round.
+        with pytest.raises(ValueError, match=r"^budget 2 is below the user count 3$"):
+            replace(tiny_scenario, budget=2)
+        assert replace(tiny_scenario, budget=3).round_loss((1, 1, 1))[2]
+
     def test_with_awards(self, tiny_scenario):
         updated = tiny_scenario.with_awards((6.0, 6.0, 0.0))
         assert updated.awards.prizes == (6.0, 6.0, 0.0)
@@ -306,11 +313,11 @@ class TestSimulateContest:
         assert outcome.ranking == (1, 2, 3)
 
     def test_infeasible_round_is_flagged(self, tiny_scenario):
-        # push everyone to the native rate, then shrink the budget under it
+        # push everyone to the native rate, then keep the budget one under it
         scenario = replace(
             tiny_scenario.with_awards((12.0, 0.0, 0.0)),
             selection_mode="payment",
-            budget=2,
+            budget=17,
         )
         outcome = simulate_contest(scenario)
         assert outcome.efforts == (6, 6, 6)

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecontest.contest import AwardSetting, ContestantState, Round, ScenarioConfig
+from posecontest.config import RENDER_METHODS
+from posecontest.contest import (
+    CAPABILITY_FLOOR,
+    SELECTION_MODES,
+    AwardSetting,
+    ContestantState,
+    Round,
+    ScenarioConfig,
+)
 from posecontest.dqn import (
     ContestEnv,
     DqnConfig,
@@ -27,7 +35,7 @@ from posecontest.dqn import (
     save_policy,
     train,
 )
-from posecontest.skeleton import SkeletonSequence
+from posecontest.skeleton import DEFAULT_PROFILES, SkeletonSequence, generate_synthetic, get_profile
 
 
 class TestActions:
@@ -81,9 +89,13 @@ class TestReward:
         nxt, r = env.step(state, (0, 0, 0))
         assert nxt == state and nxt.feasible and nxt.total_loss > 1e-9
         assert r == 3.0 / nxt.total_loss
-        squeezed = ContestEnv(replace(tiny_scenario, budget=2), reward_scale=3.0)
-        nxt, r = squeezed.step(squeezed.initial_state(), (0, 0, 0))
-        assert nxt.total_loss == state.total_loss and not nxt.feasible
+        # The start fits any budget, so the over-budget round is one move away: its
+        # rates (6, 1, 1) fit budget 9 but not the least budget, 3.
+        nxt, r = env.step(state, (1, 0, -1))
+        assert nxt.efforts == (6, 1, 1) and nxt.feasible and r == 3.0 / nxt.total_loss
+        squeezed = ContestEnv(replace(tiny_scenario, budget=3), reward_scale=3.0)
+        over, r = squeezed.step(squeezed.initial_state(), (1, 0, -1))
+        assert over[:3] == nxt[:3] and not over.feasible
         assert r == 0.0
 
     def test_full_budget_mode(self, tiny_scenario):
@@ -96,17 +108,70 @@ class TestReward:
 
     def test_scale_and_floor(self, tiny_scenario):
         env = ContestEnv(tiny_scenario, reward_scale=0.5)
+        floor = min(x for c in tiny_scenario.contestants for x in c.loss_table.values() if x > CAPABILITY_FLOOR)
         rng = np.random.default_rng(4)
         state = env.initial_state()
         for index in rng.integers(env.n_actions, size=100).tolist():
             state, r = env.step(state, env.actions[index])
             assert state.feasible == (sum(state.efforts) <= tiny_scenario.budget)
-            assert r == (0.5 / max(state.total_loss, 1e-9) if state.feasible else 0.0)
-        # A still field loses nothing at any rate, so the loss floor caps the reward.
+            assert r == (0.5 / max(state.total_loss, floor) if state.feasible else 0.0)
+        # A still field loses nothing at any rate, so it has nothing to tune: every
+        # feasible round earns the scale.
         still = ContestEnv(ScenarioConfig(still_field(2), 2, AwardSetting((1.0, 1.0))), reward_scale=2.0)
         nxt, r = still.step(still.initial_state(), (0, 0))
         assert nxt.total_loss == 0.0 and nxt.feasible
-        assert r == 2.0 / 1e-9
+        assert r == 2.0
+
+    def test_aliased_clip_loses_nothing(self):
+        # The run profile moves at 14 Hz, so at 2 fps every frame has one phase and
+        # its rate-1 loss is the rounding of its sines, about 1e-15.  A round that
+        # loses only that earns the field's ceiling: the scale over the wave user's loss.
+        field = [
+            ContestantState.from_sequence(i + 1, generate_synthetic(get_profile(kind), 2, 2, seed=i))
+            for i, kind in enumerate(("run", "wave"))
+        ]
+        run, wave = field
+        assert 0 < run.loss_table[1] <= CAPABILITY_FLOOR < wave.loss_table[1]
+        env = ContestEnv(ScenarioConfig(field, 3, AwardSetting((1.0, 1.0)), "payment"), reward_scale=2.0)
+        nxt, r = env.step(env.initial_state(), (1, -1))
+        assert nxt.efforts == (1, 2) and nxt.feasible and nxt.total_loss == run.loss_table[1]
+        assert r == 2.0 / wave.loss_table[1]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        st.lists(st.tuples(st.sampled_from(sorted(DEFAULT_PROFILES)), st.sampled_from([1, 2, 6, 12])),
+                 min_size=1, max_size=4),
+        st.integers(1, 24),
+        st.sampled_from(RENDER_METHODS),
+        st.sampled_from(SELECTION_MODES),
+        st.floats(0.0, 1.0),
+        st.one_of(st.sampled_from([10.0, 1.0]), st.floats(0.1, 100.0)),
+        st.sampled_from([1.0, 0.5, 250.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_walks_start_feasible_and_earn_bounded_rewards(
+        self, users, frames, method, mode, spare, pool, scale, seed
+    ):
+        # Fields as the CLI builds them, from clips: rate 1 or a single frame loses
+        # nothing at any rate.  Budgets run from the user count to two past every
+        # user at the native rate.
+        field = [
+            ContestantState.from_sequence(i + 1, generate_synthetic(get_profile(kind), frames, rate, seed=i), method)
+            for i, (kind, rate) in enumerate(users)
+        ]
+        n = len(field)
+        budget = n + round(spare * (sum(c.native_rate - 1 for c in field) + 2))
+        env = ContestEnv(ScenarioConfig(field, budget, AwardSetting((pool / n,) * n), mode), reward_scale=scale)
+        losses = [loss for c in field for loss in c.loss_table.values() if loss > CAPABILITY_FLOOR]
+        ceiling = scale / min(losses, default=1.0)
+        state = env.initial_state()
+        assert state.efforts == (1,) * n and state.feasible
+        for index in np.random.default_rng(seed).integers(env.n_actions, size=100).tolist():
+            state, r = env.step(state, env.actions[index])
+            assert math.isfinite(r) and 0.0 <= r <= ceiling
+            # The floor moves only rounds in which no user loses more than rounding.
+            if state.feasible and max(env.scenario.round_loss(state.efforts)[0]) > CAPABILITY_FLOOR:
+                assert r == scale / state.total_loss
 
     def test_unknown_mode(self, tiny_scenario):
         with pytest.raises(ValueError, match="unknown reward mode"):
@@ -521,12 +586,22 @@ class TestTraining:
         with pytest.raises(ValueError):
             evaluate_policy(net, env, steps=-1)
 
+    def test_best_state_stays_inside_the_budget(self, tiny_scenario):
+        # At the least budget, 3, the move (1, 0, -1) leads to rates (6, 1, 1): less
+        # loss than the start, but over the budget, so the start stays the best state.
+        env = ContestEnv(replace(tiny_scenario, budget=3))
+        net = Mlp((env.state_size, 1, env.n_actions))
+        net.biases[-1][env.actions.index((1, 0, -1))] = 1.0
+        ev = evaluate_policy(net, env, steps=1)
+        assert ev.final_state.efforts == (6, 1, 1) and not ev.final_state.feasible
+        assert ev.final_total_loss < ev.best_total_loss
+        assert ev.best_state == env.initial_state()
+
     def test_evaluation_losses_come_from_its_rounds(self):
         final = Round((4.0, 4.0, 4.0), (1, 1, 1), 2.0, True)
         best = Round((6.0, 3.0, 3.0), (2, 1, 1), 1.0, True)
         ev = PolicyEvaluation(final, best)
         assert (ev.final_total_loss, ev.best_total_loss) == (2.0, 1.0)
-        assert PolicyEvaluation(final, None).best_total_loss == math.inf
 
 
 class TestPersistence:

@@ -46,11 +46,11 @@ def random_field(seed):
 
 
 @st.composite
-def ragged_fields(draw):
-    """1-6 users with unlike native rates and loss tables drawn directly, often
-    from a few dyadic values so that users and rates tie exactly."""
+def ragged_fields(draw, max_users=6):
+    """1 to max_users users with unlike native rates and loss tables drawn
+    directly, often from a few dyadic values so that users and rates tie exactly."""
     losses = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 10.0))
-    rates = draw(st.lists(st.sampled_from([1, 2, 4, 6, 12, 30]), min_size=1, max_size=6))
+    rates = draw(st.lists(st.sampled_from([1, 2, 4, 6, 12, 30]), min_size=1, max_size=max_users))
     return [ContestantState(i + 1, {f: draw(losses) for f in divisors(r)}) for i, r in enumerate(rates)]
 
 
@@ -145,8 +145,9 @@ class TestAwardSearch:
             assert e.feasible == outcome.feasible
 
     def test_nothing_feasible(self, tiny_scenario):
-        # three users each upload at least 1; a budget of 2 can never fit
-        squeezed = replace(tiny_scenario, budget=2)
+        # The least budget, 3, fits only rate 1 for all three users, and no vector
+        # on the step-6 lattice induces it: the equal split (4, 4, 4) is off it.
+        squeezed = replace(tiny_scenario, budget=3)
         result = exhaustive_award_search(squeezed, 6.0)
         assert not result.found_feasible
         assert result.best_prizes is None
@@ -268,10 +269,20 @@ class TestEffortSearch:
         result = exhaustive_award_search(tiny_scenario, 3.0)
         assert floor_loss <= result.best_total_loss
 
-    def test_budget_below_minimum(self, tiny_scenario):
-        squeezed = replace(tiny_scenario, budget=2)
-        with pytest.raises(ValueError, match="below the minimum total effort"):
-            exhaustive_effort_search(squeezed)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(ragged_fields(max_users=5), st.floats(0.0, 1.0), st.integers(0, 2))
+    def test_matches_brute_force_on_any_field(self, field, spare, extra):
+        # Budgets from the user count, where only rate 1 for everyone fits, to
+        # beyond the summed native rates, where every profile does.
+        n = len(field)
+        budget = n + round(spare * sum(c.native_rate - 1 for c in field)) + extra
+        scenario = ScenarioConfig(field, budget, AwardSetting((1.0,) * n))
+        best = min(
+            (sum(c.loss_table[f] for c, f in zip(field, combo)), combo)
+            for combo in itertools.product(*(c.effort_set for c in field))
+            if sum(combo) <= budget
+        )
+        assert exhaustive_effort_search(scenario) == best[::-1]
 
 
 class TestAverageBaseline:
@@ -289,10 +300,16 @@ class TestAverageBaseline:
         efforts, _ = average_baseline(bumped)
         assert efforts == (3, 3, 3)
 
-    def test_share_below_one(self, tiny_scenario):
-        squeezed = replace(tiny_scenario, budget=2)
-        with pytest.raises(ValueError, match="no admissible rate"):
-            average_baseline(squeezed)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(ragged_fields(max_users=5), st.floats(0.0, 1.0), st.integers(0, 2))
+    def test_defined_on_any_field(self, field, spare, extra):
+        n = len(field)
+        budget = n + round(spare * sum(c.native_rate - 1 for c in field)) + extra
+        scenario = ScenarioConfig(field, budget, AwardSetting((1.0,) * n))
+        efforts, loss = average_baseline(scenario)
+        # Each user's largest rate within an even share of the budget; rate 1 always is.
+        assert efforts == tuple(max(f for f in c.effort_set if f * n <= budget) for c in field)
+        assert scenario.round_loss(efforts)[1:] == (loss, True)
 
 
 class TestLedgerFormat:
