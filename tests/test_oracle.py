@@ -269,6 +269,17 @@ class TestEffortSearch:
         result = exhaustive_award_search(tiny_scenario, 3.0)
         assert floor_loss <= result.best_total_loss
 
+    def test_budget_below_minimum(self, tiny_scenario):
+        # A budget under the minimum total effort (1 frame/s per user) is refused
+        # when the scenario is built; the least budget fits only the all-rate-1 round.
+        with pytest.raises(ValueError, match="below the user count"):
+            replace(tiny_scenario, budget=2)
+        least = replace(tiny_scenario, budget=3)
+        assert exhaustive_effort_search(least) == (
+            (1, 1, 1),
+            sum(c.loss_table[1] for c in tiny_scenario.contestants),
+        )
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(ragged_fields(max_users=5), st.floats(0.0, 1.0), st.integers(0, 2))
     def test_matches_brute_force_on_any_field(self, field, spare, extra):
@@ -299,6 +310,15 @@ class TestAverageBaseline:
         bumped = replace(tiny_scenario, budget=12)
         efforts, _ = average_baseline(bumped)
         assert efforts == (3, 3, 3)
+
+    def test_share_below_one(self, tiny_scenario):
+        # A share below 1 frame/s cannot be built; at the least budget the share is
+        # exactly 1 and every user takes rate 1.
+        with pytest.raises(ValueError, match="below the user count"):
+            replace(tiny_scenario, budget=2)
+        efforts, loss = average_baseline(replace(tiny_scenario, budget=3))
+        assert efforts == (1, 1, 1)
+        assert loss == pytest.approx(sum(c.loss_table[1] for c in tiny_scenario.contestants))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(ragged_fields(max_users=5), st.floats(0.0, 1.0), st.integers(0, 2))
