@@ -511,6 +511,80 @@ class TestUpdate:
             mlp_update(net, target, batch, 0.9, 0.1)
         assert all(np.array_equal(b, w) for b, w in zip(before, net.weights))
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(
+        st.lists(st.integers(1, 16), min_size=1, max_size=3),
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.integers(1, 32),
+        st.sampled_from([1e-3, 0.05, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_updates_match_list_reference_bit_for_bit(self, hidden, n_in, n_out, batch, lr, seed):
+        # Four consecutive updates with a target sync after the second, then one
+        # batch with a non-finite reward: every parameter byte, the loss and the
+        # abort must match the reference update over separate weight and bias lists.
+        rng = np.random.default_rng(seed)
+        net = Mlp((n_in, *hidden, n_out), rng)
+        target = net.copy()
+        params = [[w.copy() for w in net.weights], [b.copy() for b in net.biases]]
+        target_params = [[a.copy() for a in arrays] for arrays in params]
+        for update in range(5):
+            states, actions, rewards, next_states = self.make_batch(rng, batch, n_in, n_out)
+            states[rng.random(batch) < 0.25] = 0.0  # rows whose pre-activations are exactly the bias
+            if update == 4:
+                rewards[rng.integers(batch)] = rng.choice([math.inf, -math.inf, math.nan])
+            expected = reference_update(params, target_params, (states, actions, rewards, next_states), 0.9, lr)
+            with np.errstate(all="ignore"):
+                if expected is None:
+                    with pytest.raises(RuntimeError, match="non-finite gradient"):
+                        mlp_update(net, target, (states, actions, rewards, next_states), 0.9, lr)
+                else:
+                    loss = mlp_update(net, target, (states, actions, rewards, next_states), 0.9, lr)
+                    params, expected_loss = expected
+                    assert loss == expected_loss
+            assert [w.tobytes() for w in net.weights] == [w.tobytes() for w in params[0]]
+            assert [b.tobytes() for b in net.biases] == [b.tobytes() for b in params[1]]
+            header = 9 + 4 * len(net.layer_sizes)
+            layers = [w.tobytes() + b.tobytes() for w, b in zip(*params)]
+            assert save_policy(net)[header:] == b"".join(layers)
+            if update == 1:
+                target = net.copy()
+                target_params = [[a.copy() for a in arrays] for arrays in params]
+        assert expected is None  # the last batch's non-finite reward reached the gradients
+
+
+def reference_update(params, target_params, batch, discount, lr):
+    """One SGD step on a value net held as [weights, biases] lists, written out
+    op by op: the new lists and the pre-step loss, or None if a gradient is not
+    finite (the step then changes nothing)."""
+
+    def forward(weights, biases, x):
+        acts = [x]
+        for w, b in zip(weights[:-1], biases[:-1]):
+            acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        return acts, acts[-1] @ weights[-1] + biases[-1]
+
+    states, actions, rewards, next_states = batch
+    with np.errstate(all="ignore"):
+        targets = rewards + discount * forward(*target_params, next_states)[1].max(axis=1)
+        acts, out = forward(*params, states)
+        rows = np.arange(len(states))
+        err = out[rows, actions] - targets
+        loss = float(np.mean(err**2))
+        delta = np.zeros_like(out)
+        delta[rows, actions] = 2.0 * err / len(states)
+        weights, biases = params
+        grads_w, grads_b = [None] * len(weights), [None] * len(biases)
+        for layer in reversed(range(len(weights))):
+            grads_w[layer] = acts[layer].T @ delta
+            grads_b[layer] = delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
+    if not all(np.isfinite(g).all() for g in grads_w + grads_b):
+        return None
+    return [[w - lr * g for w, g in zip(weights, grads_w)], [b - lr * g for b, g in zip(biases, grads_b)]], loss
+
 
 class TestConfig:
     def test_defaults_are_valid(self):
