@@ -29,6 +29,7 @@ from posecontest.contest import (
 from posecontest.oracle import award_grid
 from posecontest.skeleton import DEFAULT_PROFILES, generate_synthetic, get_profile
 from test_acceptance import SMALL
+from test_oracle import ragged_fields
 
 
 def reference_payment(loss_value, awards, n_contestants, population):
@@ -176,3 +177,27 @@ def test_equal_split_of_any_field_is_rate_one(users, pool, mode):
     ]
     n = len(field)
     assert BestResponse(field, mode).efforts((pool / n,) * n) == (1,) * n
+
+
+@st.composite
+def prize_rows(draw, count):
+    """A non-increasing prize vector of count entries: drawn freely, or an equal
+    split whose entries step apart by a few ulps up to a few tie tolerances, so
+    that rates' payments land on both sides of SCORE_TIE_REL_TOL."""
+    pool = draw(st.one_of(st.sampled_from([100.0, 1.0]), st.floats(1e-3, 1e4)))
+    if draw(st.booleans()):
+        spread = draw(st.sampled_from([0.0, 1e-15, 1e-12, SCORE_TIE_REL_TOL, 3 * SCORE_TIE_REL_TOL, 1e-6]))
+        prizes = [pool / count * (1.0 + spread * k) for k in range(count)]
+    else:
+        prizes = draw(st.lists(st.floats(0.0, pool), min_size=count, max_size=count))
+    return tuple(sorted(prizes, reverse=True))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(ragged_fields(max_users=10), st.sampled_from(SELECTION_MODES), st.data())
+def test_efforts_many_rows_match_the_scalar_loop(field, mode, data):
+    # Ragged fields of 1-10 users with tied and near-tied losses; a block of
+    # prize vectors of one length, up to the field's, in one efforts_many call.
+    count = data.draw(st.integers(1, len(field)))
+    rows = data.draw(st.lists(prize_rows(count), min_size=1, max_size=6, unique=True))
+    assert mismatches(field, rows, mode) == []

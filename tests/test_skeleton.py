@@ -297,6 +297,31 @@ class TestCodec:
             decoded = decode_frame(encode_frame(frame, bounds), 17, bounds)
             assert np.abs(decoded.coords - coords).max() <= bounds.span / 510.0 + 1e-12
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        st.floats(-1e6, 1e6),
+        st.one_of(st.sampled_from([4.0, 1.0, 255.0]), st.floats(1e-3, 1e4)),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.data(),
+    )
+    def test_sequence_round_trip_within_half_step(self, lo, span, frames, joints, data):
+        # Any bounds, clips with values inside, on and outside them: every
+        # decoded coordinate lies within half a quantization step of the clamped
+        # original, up to a few ulps of the bounds' magnitude.
+        bounds = QuantBounds(lo, lo + span)
+        inside = st.floats(bounds.lo, bounds.hi)
+        around = st.floats(bounds.lo - bounds.span, bounds.hi + bounds.span)
+        coords = data.draw(hnp.arrays(np.float64, (frames, joints, AXES), elements=st.one_of(inside, around)))
+        payload = encode_sequence(SkeletonSequence(coords, 1), bounds)
+        assert len(payload) == frames * joints * AXES
+        width = joints * AXES
+        decoded = np.stack([decode_frame(payload[i:i + width], joints, bounds).coords
+                            for i in range(0, len(payload), width)])
+        slack = 8 * np.finfo(np.float64).eps * max(abs(bounds.lo), abs(bounds.hi), bounds.span)
+        error = np.abs(decoded - np.clip(coords, bounds.lo, bounds.hi))
+        assert error.max() <= bounds.span / 510.0 + slack
+
     def test_decode_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="exactly 51 bytes"):
             decode_frame(b"\x00" * 50, 17)
