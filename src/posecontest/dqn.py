@@ -90,6 +90,7 @@ class ContestEnv:
         losses = [x for c in scenario.contestants for x in c.loss_table.values() if x > CAPABILITY_FLOOR]
         self._loss_floor = min(losses, default=1.0)
         self._states: dict[tuple[float, ...], Round] = {}  # by prize vector
+        self._vectors: dict[Round, np.ndarray] = {}  # network inputs, one per state
 
     @property
     def n_actions(self) -> int:
@@ -118,17 +119,24 @@ class ContestEnv:
         return self._states[prizes]
 
     def state_vector(self, state: Round) -> np.ndarray:
-        """Network input: prizes normalized by pool, rates by native rate."""
-        prizes = np.asarray(state.prizes, dtype=np.float64) / self.pool
-        efforts = np.asarray(state.efforts, dtype=np.float64) / self._rates
-        return np.concatenate([prizes, efforts])
+        """Network input, read-only: prizes normalized by pool, rates by native rate."""
+        vec = self._vectors.get(state)
+        if vec is None:
+            prizes = np.asarray(state.prizes, dtype=np.float64) / self.pool
+            efforts = np.asarray(state.efforts, dtype=np.float64) / self._rates
+            vec = self._vectors[state] = np.concatenate([prizes, efforts])
+            vec.flags.writeable = False
+        return vec
 
 
 class Mlp:
     """Fully connected ReLU network with a linear output layer, float64.
 
-    Weights use He initialization when an RNG is given, zeros otherwise
-    (deserialization fills them in).
+    Every parameter lives in one flat array, ``params``: per layer the weights
+    row-major, then the biases, which is save_policy's payload order.
+    ``weights`` and ``biases`` are views into it; write through them, never
+    rebind them.  Weights use He initialization when an RNG is given, zeros
+    otherwise (deserialization fills them in).
     """
 
     def __init__(self, layer_sizes: tuple[int, ...], rng: np.random.Generator | None = None):
@@ -138,24 +146,35 @@ class Mlp:
         if any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
         self.layer_sizes = sizes
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            if rng is None:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                w = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
+        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
+        self.weights, self.biases = self._layers(self.params)
+        self._grads = np.empty_like(self.params)  # _backprop writes here, laid out as params
+        self._grad_layers = self._layers(self._grads)
+        if rng is not None:
+            for w in self.weights:
+                w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
+
+    def _layers(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        # (weights, biases) views of an array laid out as params.
+        weights, biases, offset = [], [], 0
+        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+            biases.append(flat[offset:offset + fan_out])
+            offset += fan_out
+        return tuple(weights), tuple(biases)
 
     def _activations(self, x: np.ndarray) -> list[np.ndarray]:
         # The one forward pass: the (batch, features) input, each ReLU layer, the output.
+        # Each layer adds its bias and clips in place on its own fresh product.
         acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
         if acts[0].shape[1] != self.layer_sizes[0]:
             raise ValueError(f"expected {self.layer_sizes[0]} input features, got {acts[0].shape[1]}")
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            acts.append(np.maximum(acts[-1] @ w + b, 0.0))
-        acts.append(acts[-1] @ self.weights[-1] + self.biases[-1])
+        for w, b in zip(self.weights, self.biases):
+            if len(acts) > 1:  # the layer below is hidden, and not the caller's input
+                np.maximum(acts[-1], 0.0, out=acts[-1])
+            acts.append(acts[-1] @ w)
+            acts[-1] += b
         return acts
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -164,13 +183,18 @@ class Mlp:
 
     def gradients(
         self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], float]:
         """Gradients of the mean squared TD error on the chosen outputs.
 
         Loss is mean_b (q[b, actions[b]] - targets[b])^2; only the selected
         output of each row carries error.  Returns (weight grads, bias grads,
-        loss before the step).
+        loss before the step), in fresh arrays the caller owns.
         """
+        loss = self._backprop(states, actions, targets)
+        return (*self._layers(self._grads.copy()), loss)
+
+    def _backprop(self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray) -> float:
+        # Writes the gradients into self._grads; returns the loss.
         *activations, out = self._activations(states)
         actions = np.asarray(actions, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.float64)
@@ -180,27 +204,20 @@ class Mlp:
         err = out[rows, actions] - targets
         loss = float(np.mean(err**2))
 
-        delta = np.zeros_like(out)
+        delta = np.zeros(out.shape)
         delta[rows, actions] = 2.0 * err / batch
-        grads_w: list[np.ndarray] = [None] * len(self.weights)
-        grads_b: list[np.ndarray] = [None] * len(self.biases)
+        grads_w, grads_b = self._grad_layers
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = activations[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(activations[layer].T, delta, out=grads_w[layer])
+            delta.sum(axis=0, out=grads_b[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (activations[layer] > 0.0)
-        return grads_w, grads_b, loss
-
-    def sgd_step(self, grads_w: list[np.ndarray], grads_b: list[np.ndarray], lr: float) -> None:
-        for w, gw in zip(self.weights, grads_w):
-            w -= lr * gw
-        for b, gb in zip(self.biases, grads_b):
-            b -= lr * gb
+                delta = delta @ self.weights[layer].T
+                delta *= activations[layer] > 0.0
+        return loss
 
     def copy(self) -> "Mlp":
         dup = Mlp(self.layer_sizes)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup.params[:] = self.params
         return dup
 
 
@@ -255,11 +272,10 @@ def mlp_update(
     states, actions, rewards, next_states = batch
     next_best = target_net.forward(next_states).max(axis=1)
     targets = rewards + discount * next_best
-    grads_w, grads_b, loss = net.gradients(states, actions, targets)
-    for g in itertools.chain(grads_w, grads_b):
-        if not np.isfinite(g).all():
-            raise RuntimeError("non-finite gradient; value network update aborted")
-    net.sgd_step(grads_w, grads_b, learning_rate)
+    loss = net._backprop(states, actions, targets)
+    if not np.isfinite(net._grads).all():
+        raise RuntimeError("non-finite gradient; value network update aborted")
+    net.params -= learning_rate * net._grads
     return loss
 
 
@@ -343,7 +359,7 @@ def train(scenario: ScenarioConfig, config: DqnConfig = DqnConfig()) -> tuple[Ml
         state = env.initial_state()
         vec = env.state_vector(state)
         reward_sum = 0.0
-        for _ in range(config.steps_per_episode):
+        for step in range(1, config.steps_per_episode + 1):
             if explore_rng.random() < epsilon:
                 action_index = int(explore_rng.integers(env.n_actions))
             else:
@@ -355,7 +371,11 @@ def train(scenario: ScenarioConfig, config: DqnConfig = DqnConfig()) -> tuple[Ml
             step_count += 1
             if len(buffer) >= config.batch_size:
                 batch = buffer.sample(config.batch_size, replay_rng)
-                mlp_update(net, target_net, batch, config.discount, config.learning_rate)
+                try:
+                    mlp_update(net, target_net, batch, config.discount, config.learning_rate)
+                except RuntimeError as exc:
+                    raise RuntimeError(f"{exc} at episode {episode}, step {step}; the batch's rewards "
+                                       f"run from {batch[2].min():.6g} to {batch[2].max():.6g}") from exc
             if step_count % config.target_sync == 0:
                 target_net = net.copy()
         history.append(
@@ -412,14 +432,9 @@ def evaluate_policy(net: Mlp, env: ContestEnv, steps: int = 100) -> PolicyEvalua
 def save_policy(net: Mlp) -> bytes:
     """Serialize a network: magic, version, layer sizes, then little-endian
     float64 parameters (per layer: weights row-major, then biases)."""
-    parts = [POLICY_MAGIC, struct.pack("<B", POLICY_VERSION)]
-    parts.append(struct.pack("<I", len(net.layer_sizes)))
-    for size in net.layer_sizes:
-        parts.append(struct.pack("<I", size))
-    for w, b in zip(net.weights, net.biases):
-        parts.append(w.astype("<f8").tobytes())
-        parts.append(b.astype("<f8").tobytes())
-    return b"".join(parts)
+    sizes = net.layer_sizes
+    header = POLICY_MAGIC + struct.pack(f"<BI{len(sizes)}I", POLICY_VERSION, len(sizes), *sizes)
+    return header + net.params.astype("<f8").tobytes()
 
 
 def load_policy(data: bytes) -> Mlp:
@@ -446,26 +461,19 @@ def load_policy(data: bytes) -> Mlp:
     if any(s < 1 for s in sizes):
         raise ValueError(f"layer sizes must be positive, got {sizes}")
 
-    # Read every layer before building the net: sizes the payload lacks allocate nothing.
-    weights, biases = [], []
+    # Size every layer against the payload before building the net: sizes it lacks allocate nothing.
+    end = offset
     for layer, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        w_bytes = 8 * fan_in * fan_out
-        b_bytes = 8 * fan_out
-        if len(data) < offset + w_bytes + b_bytes:
+        end += 8 * (fan_in + 1) * fan_out
+        if len(data) < end:
             raise ValueError(f"policy payload truncated in layer {layer} parameters")
-        w = np.frombuffer(data, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        offset += w_bytes
-        b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
-        offset += b_bytes
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        biases.append(b.copy())
-    if offset != len(data):
-        raise ValueError(f"policy payload has {len(data) - offset} trailing bytes")
-    for arr in itertools.chain(weights, biases):
-        if not np.isfinite(arr).all():
-            raise ValueError("policy parameters contain non-finite values")
+    if end != len(data):
+        raise ValueError(f"policy payload has {len(data) - end} trailing bytes")
+    params = np.frombuffer(data, dtype="<f8", offset=offset)
+    if not np.isfinite(params).all():
+        raise ValueError("policy parameters contain non-finite values")
     net = Mlp(sizes)
-    net.weights, net.biases = weights, biases
+    net.params[:] = params
     return net
 
 

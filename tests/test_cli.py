@@ -7,6 +7,7 @@ import io
 import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from posecontest.config import (
 from posecontest.contest import CAPABILITY_FLOOR, SELECTION_MODES
 from posecontest.dqn import DqnConfig, load_policy
 from posecontest.skeleton import DEFAULT_PROFILES, QuantBounds, load_sequence
+from test_acceptance import SMALL_INI
 
 TINY_INI = """\
 [run]
@@ -465,6 +467,26 @@ class TestZeroLossRounds:
         # A mean of 100 rewards, each at most the ceiling, up to the rounding of their sum.
         assert max(rewards) <= (1.0 / floor) * (1 + 1e-12)
         assert min(rewards) > 0.0
+
+
+class TestTrainingOverflow:
+    def test_error_names_the_episode_step_and_rewards(self, tmp_path, capsys):
+        # A valid but huge reward scale overflows the learner; the error says
+        # where training was and what rewards the failing batch held.
+        ini = tmp_path / "small.ini"
+        ini.write_text(SMALL_INI + "reward_scale = 1e300\n")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("train", "--config", str(ini), "--seed", "0", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        found = re.fullmatch(
+            r"error: non-finite gradient; value network update aborted at episode (\d+), step (\d+); "
+            r"the batch's rewards run from (\S+) to (\S+)\n", err)
+        assert found, err
+        episode, step, low, high = int(found[1]), int(found[2]), float(found[3]), float(found[4])
+        assert 1 <= episode <= 40 and 1 <= step <= 30
+        assert 1e298 < low <= high < 1e302
+        assert not out.exists()
 
 
 class TestCodec:

@@ -229,6 +229,9 @@ class TestEnv:
         assert vec.shape == (6,)
         assert np.allclose(vec[:3], 1.0 / 3.0)
         assert np.array_equal(vec[3:], np.asarray(state.efforts) / 6.0)
+        # Computed once per state and shared, so no caller may write to it.
+        assert env.state_vector(env.step(state, (0, 0, 0))[0]) is vec
+        assert not vec.flags.writeable
 
     def test_total_loss_and_feasibility(self, tiny_scenario):
         env = ContestEnv(tiny_scenario)
@@ -323,19 +326,25 @@ class TestMlp:
         expected = float(np.mean((out[np.arange(4), actions] - targets) ** 2))
         assert net.gradients(states, actions, targets)[2] == pytest.approx(expected)
 
-    def test_sgd_step(self):
-        net = Mlp((2, 2), np.random.default_rng(1))
-        before = [w.copy() for w in net.weights]
-        grads_w = [np.ones_like(w) for w in net.weights]
-        grads_b = [np.ones_like(b) for b in net.biases]
-        net.sgd_step(grads_w, grads_b, lr=0.1)
-        for b, w in zip(before, net.weights):
-            assert np.allclose(b - 0.1, w)
+    def test_parameters_live_in_one_buffer(self):
+        rng = np.random.default_rng(1)
+        net = Mlp((3, 4, 2), rng)
+        assert net.params.shape == ((3 + 1) * 4 + (4 + 1) * 2,)
+        layers = [a for w, b in zip(net.weights, net.biases) for a in (w.ravel(), b)]
+        assert np.array_equal(np.concatenate(layers), net.params)
+        assert all(np.shares_memory(a, net.params) for a in layers)
+        net.weights[1][0, 0] = 7.0  # the second layer's weights start after 3 * 4 + 4 values
+        assert net.params[16] == 7.0
+        x = -np.abs(rng.normal(size=(5, 3)))
+        before = x.copy()
+        net.forward(x)
+        assert np.array_equal(x, before)  # the forward pass writes only its own arrays
 
     def test_copy_is_independent(self):
         net = Mlp((2, 3), np.random.default_rng(2))
         dup = net.copy()
         assert np.array_equal(dup.weights[0], net.weights[0])
+        assert not np.shares_memory(dup.params, net.params)
         dup.weights[0][0, 0] += 1.0
         assert dup.weights[0][0, 0] != net.weights[0][0, 0]
 
