@@ -30,6 +30,10 @@ SCORE_TIE_REL_TOL = 1e-9
 
 SELECTION_MODES = ("net", "payment")
 
+# Prize vectors per tie scan in BestResponse.rounds: enough to spread the per-scan overhead,
+# few enough to keep the kernel's temporaries under a megabyte on a 4-user field.
+_ROUND_BLOCK = 512
+
 REFERENCE_RATE = 1
 
 
@@ -200,7 +204,9 @@ class BestResponse:
         self._win, self._lose = np.zeros((2, n_contestants, *shape))  # rank, rate, user, 1
         self._rates = np.zeros(shape, dtype=np.int64)
         self._charge = np.full(shape, math.inf)
+        self._loss = np.zeros((n_contestants, max(c.native_rate for c in contestants) + 1))
         for u, c in enumerate(contestants):
+            self._loss[u, list(c.loss_table)] = list(c.loss_table.values())  # user, rate
             for r, f in enumerate(c.effort_set):
                 factors = rank_factors(win_cdf(c.loss_table[f], population), n_contestants)
                 _, self._win[:, r, u, 0], self._lose[:, r, u, 0] = zip(*factors)
@@ -248,6 +254,17 @@ class BestResponse:
         """The rate each user picks, in field order, given the prize vector."""
         return tuple(self.efforts_many(np.array([prizes], dtype=np.float64))[0].tolist())
 
+    def rounds(self, prizes: np.ndarray, budget: int) -> tuple[Round, ...]:
+        """The Round of each prize vector (rows), in Python numbers.  Each loss adds the users
+        in field order from 0, as ScenarioConfig.round_loss does, so the two agree bit for bit."""
+        prizes = np.asarray(prizes, dtype=np.float64)
+        blocks = (prizes[start:start + _ROUND_BLOCK] for start in range(0, len(prizes), _ROUND_BLOCK))
+        efforts = np.concatenate([self.efforts_many(block) for block in blocks])
+        losses = sum(table[column] for table, column in zip(self._loss, efforts.T))
+        feasible = efforts.sum(axis=1) <= budget
+        columns = map(tuple, prizes.tolist()), map(tuple, efforts.tolist()), losses.tolist(), feasible.tolist()
+        return tuple(map(Round, *columns))
+
 
 @dataclass
 class ScenarioConfig:
@@ -281,14 +298,14 @@ class ScenarioConfig:
         return replace(self, awards=AwardSetting(prizes))
 
     def round_loss(self, efforts: tuple[int, ...]) -> tuple[tuple[float, ...], float, bool]:
-        """Per-user loss, total loss and budget feasibility of a round at these rates."""
+        """Per-user loss, total loss and feasibility at these rates; BestResponse.rounds' scalar reference."""
         per_user = tuple(c.loss_table[f] for c, f in zip(self.contestants, efforts))
         return per_user, float(sum(per_user)), sum(efforts) <= self.budget
 
 
 class Round(NamedTuple):
     """One prize vector, the upload rates it induces, and that round's total
-    loss and budget feasibility (as round_loss scores them)."""
+    loss and budget feasibility (BestResponse.rounds makes every one)."""
 
     prizes: tuple[float, ...]
     efforts: tuple[int, ...]

@@ -111,11 +111,10 @@ class ContestEnv:
         return nxt, self.reward_scale / max(nxt.total_loss, self._loss_floor) if nxt.feasible else 0.0
 
     def _state(self, prizes: tuple[float, ...]) -> Round:
-        # The one place a state's round is scored, once per prize vector.  Moves
-        # keep prizes near the pool's unit lattice, so the memo stays small.
+        # Each prize vector's round is scored once.  Moves keep prizes near the
+        # pool's unit lattice, so the memo stays small.
         if prizes not in self._states:
-            efforts = self.responses.efforts(prizes)
-            self._states[prizes] = Round(prizes, efforts, *self.scenario.round_loss(efforts)[1:])
+            self._states[prizes] = self.responses.rounds([prizes], self.scenario.budget)[0]
         return self._states[prizes]
 
     def state_vector(self, state: Round) -> np.ndarray:

@@ -9,10 +9,6 @@ import numpy as np
 
 from .contest import BestResponse, Round, ScenarioConfig
 
-# Prize vectors per best-response call in the award search: enough to spread the per-call
-# overhead, few enough to keep the kernel's temporaries under a megabyte on a 4-user field.
-_SEARCH_BLOCK = 512
-
 
 def award_grid(pool: float, n_contestants: int, step: float) -> np.ndarray:
     """All non-increasing prize vectors of length n summing to pool on a step
@@ -68,17 +64,7 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     enrolled field so every vector is judged against the same opponents.
     """
     grid = award_grid(scenario.awards.pool, scenario.n_contestants, step)
-    responses = BestResponse(scenario.contestants, scenario.selection_mode)
-    loss_at = np.zeros((scenario.n_contestants, max(c.native_rate for c in scenario.contestants) + 1))
-    for table, c in zip(loss_at, scenario.contestants):  # user, rate
-        table[list(c.loss_table)] = list(c.loss_table.values())
-    blocks = (grid[start:start + _SEARCH_BLOCK] for start in range(0, len(grid), _SEARCH_BLOCK))
-    efforts = np.concatenate([responses.efforts_many(block) for block in blocks])
-    # Summed over the users in field order from 0, as round_loss's sum adds them.
-    losses = sum(table[column] for table, column in zip(loss_at, efforts.T))
-    feasible = efforts.sum(axis=1) <= scenario.budget
-    columns = map(tuple, grid.tolist()), map(tuple, efforts.tolist()), losses.tolist(), feasible.tolist()
-    entries = tuple(map(Round, *columns))
+    entries = BestResponse(scenario.contestants, scenario.selection_mode).rounds(grid, scenario.budget)
     # min keeps the first of equal losses, and the grid ascends, so the smallest vector wins a tie.
     best = min((e for e in entries if e.feasible), key=lambda e: e.total_loss, default=None)
     found = (None, math.inf, None) if best is None else (best.prizes, best.total_loss, best.efforts)

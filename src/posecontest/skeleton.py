@@ -71,6 +71,16 @@ class SequenceFormatError(ValueError):
     """Serialized sequence data violates the expected layout."""
 
 
+def _coord_array(coords, layout: tuple[str, ...]) -> np.ndarray:
+    """The one keypoint-array rule: float64 of shape (*layout, 3), no axis empty, all finite."""
+    arr = np.asarray(coords, dtype=np.float64)
+    if arr.ndim != len(layout) + 1 or arr.shape[-1] != AXES or 0 in arr.shape:
+        raise ValueError(f"coords must have shape ({', '.join(layout)}, 3) with no empty axis, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("coords hold a non-finite value")
+    return arr
+
+
 @dataclass(eq=False)
 class SkeletonFrame:
     """All keypoints of one captured frame, shape (joint_count, 3)."""
@@ -78,14 +88,7 @@ class SkeletonFrame:
     coords: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != AXES:
-            raise ValueError(f"frame coords must have shape (joints, 3), got {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("frame must contain at least one joint")
-        if not np.isfinite(arr).all():
-            raise ValueError("frame coords must be finite")
-        self.coords = arr
+        self.coords = _coord_array(self.coords, ("joints",))
 
     @property
     def joint_count(self) -> int:
@@ -107,16 +110,9 @@ class SkeletonSequence:
     user_label: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != AXES:
-            raise ValueError(f"sequence coords must have shape (frames, joints, 3), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("sequence needs at least one frame and one joint")
-        if not np.isfinite(arr).all():
-            raise ValueError("sequence coords must be finite")
+        self.coords = _coord_array(self.coords, ("frames", "joints"))
         if not isinstance(self.native_rate, (int, np.integer)) or self.native_rate < 1:
             raise ValueError(f"native_rate must be a positive integer, got {self.native_rate!r}")
-        self.coords = arr
         self.native_rate = int(self.native_rate)
 
     @property
@@ -222,12 +218,8 @@ def generate_synthetic(
         ValueError: on non-positive sizes or when no active joint index is
             within range for joint_count.
     """
-    if frame_count < 1:
-        raise ValueError("frame_count must be at least 1")
     if native_rate < 1:
         raise ValueError("native_rate must be at least 1")
-    if joint_count < 1:
-        raise ValueError("joint_count must be at least 1")
     active = [j for j in profile.active_joints if j < joint_count]
     if not active:
         raise ValueError(
@@ -511,12 +503,6 @@ def _load_json(data: bytes) -> SkeletonSequence:
         coords = np.asarray(payload["frames"], dtype=np.float64)
     except (TypeError, ValueError):
         raise SequenceFormatError("frames must be a rectangular array of [x, y, z] triples") from None
-    if coords.ndim != 3 or coords.shape[2] != AXES:
-        raise SequenceFormatError(
-            f"frames must have shape (frames, joints, 3), got {coords.shape}"
-        )
-    if not np.isfinite(coords).all():
-        raise SequenceFormatError("frames contain non-finite coordinates")
     try:
         return SkeletonSequence(coords, rate, label)
     except ValueError as exc:

@@ -709,6 +709,16 @@ class TestErrors:
         assert "config error: seed must be non-negative, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_size_exits_1(self, tmp_path, capsys):
+        # 10**16 replay rows of a 32-byte state is 284 PiB, past a 57-bit address space,
+        # so it fails under any overcommit setting.
+        ini = tmp_path / "huge.ini"
+        ini.write_text(TINY_INI.replace("buffer_capacity = 16", "buffer_capacity = 10000000000000000"))
+        out = tmp_path / "out"
+        assert run("train", "--config", str(ini), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
     def test_retired_reward_mode_exits_2(self, tmp_path, capsys):
         # full_budget rewarded rounds over the budget, which compare discards.
         ini = tmp_path / "bad.ini"

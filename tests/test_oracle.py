@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecontest import oracle
+from posecontest import contest
 from posecontest.contest import (
     SELECTION_MODES,
     AwardSetting,
@@ -179,7 +179,7 @@ class TestAwardSearch:
             )
         ]
         scenario = ScenarioConfig(field, 25, AwardSetting((2.7,) * 10))
-        monkeypatch.setattr(oracle, "_SEARCH_BLOCK", 5)
+        monkeypatch.setattr(contest, "_ROUND_BLOCK", 5)
         result = exhaustive_award_search(scenario, 2.7)
         assert result.evaluated == len(award_grid(scenario.awards.pool, 10, 2.7)) == 42
         kernel = BestResponse(field)
@@ -226,7 +226,7 @@ class TestAwardSearch:
         kernel = BestResponse(field, mode)
         for block in (1, 2, 7):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(oracle, "_SEARCH_BLOCK", block)
+                patch.setattr(contest, "_ROUND_BLOCK", block)
                 result = exhaustive_award_search(scenario, step)
             assert [e.prizes for e in result.entries] == grid
             assert result.evaluated == len(grid)

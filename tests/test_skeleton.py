@@ -425,6 +425,9 @@ class TestSerialization:
             (b'{"native_rate": 4, "user_label": 3, "frames": [[[0,0,0]]]}', "string"),
             (b'{"native_rate": 4, "user_label": "", "frames": [[[0,0],[0,0,0]]]}', "rectangular"),
             (b'{"native_rate": 4, "user_label": "", "frames": [[0,0,0]]}', "shape"),
+            (b'{"native_rate": 4, "user_label": "", "frames": []}', "shape"),
+            (b'{"native_rate": 4, "user_label": "", "frames": [[]]}', "shape"),
+            (b'{"native_rate": 4, "user_label": "", "frames": [[[]]]}', "shape"),
             (b'{"native_rate": 4, "user_label": "", "frames": [[[0,0,NaN]]]}', "non-finite"),
             (b'{"native_rate": 0, "user_label": "", "frames": [[[0,0,0]]]}', "positive integer"),
         ],
