@@ -70,6 +70,22 @@ def test_default_search_ledger(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "mode, expected",
+    [
+        ("net", "c53985ef0deb19fd1cb266f0c56bb05ae57207e5c51a99ba769fb6ef4bdb338b"),
+        ("payment", "67a232307f31687386d481794ff2641b01365037473bae9cc4b3eefe2be0fc58"),
+    ],
+)
+def test_default_step1_search_ledger(tmp_path, mode, expected):
+    # The default scenario's full step-1 lattice: 8,037 prize vectors.
+    ini = tmp_path / "step1.ini"
+    ini.write_text(f"[scenario]\nselection_mode = {mode}\n\n[search]\nstep = 1\n")
+    assert cli_main(["search", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "search.csv").read_text().count("\n") == 1 + 8037
+    assert digest(tmp_path / "search.csv") == expected
+
+
+@pytest.mark.parametrize(
     "awards, expected",
     [
         (None, "bfa7e137acfc3e7675db0111054aa0421f3544fe1344fca99bbae119ff6d251c"),
