@@ -254,16 +254,14 @@ class BestResponse:
         """The rate each user picks, in field order, given the prize vector."""
         return tuple(self.efforts_many(np.array([prizes], dtype=np.float64))[0].tolist())
 
-    def rounds(self, prizes: np.ndarray, budget: int) -> tuple[Round, ...]:
-        """The Round of each prize vector (rows), in Python numbers.  Each loss adds the users
-        in field order from 0, as ScenarioConfig.round_loss does, so the two agree bit for bit."""
+    def rounds(self, prizes: np.ndarray, budget: int) -> Rounds:
+        """The rounds of the prize vectors (rows), as columns.  Each loss adds the users in
+        field order from 0, as ScenarioConfig.round_loss does, so the two agree bit for bit."""
         prizes = np.asarray(prizes, dtype=np.float64)
         blocks = (prizes[start:start + _ROUND_BLOCK] for start in range(0, len(prizes), _ROUND_BLOCK))
         efforts = np.concatenate([self.efforts_many(block) for block in blocks])
         losses = sum(table[column] for table, column in zip(self._loss, efforts.T))
-        feasible = efforts.sum(axis=1) <= budget
-        columns = map(tuple, prizes.tolist()), map(tuple, efforts.tolist()), losses.tolist(), feasible.tolist()
-        return tuple(map(Round, *columns))
+        return Rounds(prizes, efforts, losses, efforts.sum(axis=1) <= budget)
 
 
 @dataclass
@@ -305,12 +303,30 @@ class ScenarioConfig:
 
 class Round(NamedTuple):
     """One prize vector, the upload rates it induces, and that round's total
-    loss and budget feasibility (BestResponse.rounds makes every one)."""
+    loss and budget feasibility (a row of the Rounds that BestResponse.rounds makes)."""
 
     prizes: tuple[float, ...]
     efforts: tuple[int, ...]
     total_loss: float
     feasible: bool
+
+
+@dataclass(frozen=True, eq=False)
+class Rounds:
+    """Rounds as columns, row i for prize vector i: prizes (v, n) float64, efforts (v, n) int64,
+    total_loss (v,) float64, feasible (v,) bool.  Indexing, and so iteration, makes Round records."""
+
+    prizes: np.ndarray
+    efforts: np.ndarray
+    total_loss: np.ndarray
+    feasible: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.total_loss)
+
+    def __getitem__(self, i: int) -> Round:
+        return Round(tuple(self.prizes[i].tolist()), tuple(self.efforts[i].tolist()),
+                     self.total_loss[i].item(), self.feasible[i].item())
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contest import BestResponse, Round, ScenarioConfig
+from .contest import BestResponse, Rounds, ScenarioConfig
 
 
 def award_grid(pool: float, n_contestants: int, step: float) -> np.ndarray:
@@ -49,7 +49,7 @@ class AwardSearchResult:
     best_total_loss: float
     best_efforts: tuple[int, ...] | None
     evaluated: int
-    entries: tuple[Round, ...]
+    entries: Rounds
 
     @property
     def found_feasible(self) -> bool:
@@ -65,8 +65,9 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     """
     grid = award_grid(scenario.awards.pool, scenario.n_contestants, step)
     entries = BestResponse(scenario.contestants, scenario.selection_mode).rounds(grid, scenario.budget)
-    # min keeps the first of equal losses, and the grid ascends, so the smallest vector wins a tie.
-    best = min((e for e in entries if e.feasible), key=lambda e: e.total_loss, default=None)
+    rows = np.flatnonzero(entries.feasible)
+    # argmin keeps the first of equal losses, and the grid ascends, so the smallest vector wins a tie.
+    best = entries[rows[np.argmin(entries.total_loss[rows])]] if rows.size else None
     found = (None, math.inf, None) if best is None else (best.prizes, best.total_loss, best.efforts)
     return AwardSearchResult(*found, len(entries), entries)
 
@@ -110,9 +111,11 @@ def average_baseline(scenario: ScenarioConfig) -> tuple[tuple[int, ...], float]:
 
 def format_search_ledger(result: AwardSearchResult) -> str:
     """Render a search result as CSV with one row per evaluated prize vector."""
+    e = result.entries
+    columns = e.prizes.tolist(), e.efforts.tolist(), e.total_loss.tolist(), e.feasible.tolist()
     rows = [
         f"{' '.join(map(repr, prizes))},{' '.join(map(str, efforts))},{total_loss!r},"
         f"{'true' if feasible else 'false'}"
-        for prizes, efforts, total_loss, feasible in result.entries
+        for prizes, efforts, total_loss, feasible in zip(*columns)
     ]
     return "\n".join(["awards,efforts,total_loss,feasible", *rows]) + "\n"

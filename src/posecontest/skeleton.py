@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -501,9 +502,13 @@ def _load_json(data: bytes) -> SkeletonSequence:
         raise SequenceFormatError("user_label must be a string")
     try:
         coords = np.asarray(payload["frames"], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise SequenceFormatError("frames must be a rectangular array of [x, y, z] triples") from None
+    except (TypeError, ValueError, OverflowError):
+        raise SequenceFormatError("frames must be a rectangular array of [x, y, z] number triples") from None
     try:
-        return SkeletonSequence(coords, rate, label)
+        sequence = SkeletonSequence(coords, rate, label)
     except ValueError as exc:
         raise SequenceFormatError(str(exc)) from None
+    # float64 conversion also reads numeric strings and booleans, which the CSV reader rejects.
+    if not {*map(type, chain.from_iterable(chain.from_iterable(payload["frames"])))} <= {int, float}:
+        raise SequenceFormatError("frames must be a rectangular array of [x, y, z] number triples")
+    return sequence

@@ -54,6 +54,17 @@ def ragged_fields(draw, max_users=6):
     return [ContestantState(i + 1, {f: draw(losses) for f in divisors(r)}) for i, r in enumerate(rates)]
 
 
+def reference_search_ledger(result):
+    """format_search_ledger's reference: the ledger formatted row by row from the Round
+    records that iterating the result's entries makes."""
+    rows = [
+        f"{' '.join(map(repr, prizes))},{' '.join(map(str, efforts))},{total_loss!r},"
+        f"{'true' if feasible else 'false'}"
+        for prizes, efforts, total_loss, feasible in result.entries
+    ]
+    return "\n".join(["awards,efforts,total_loss,feasible", *rows]) + "\n"
+
+
 class TestAwardGrid:
     def test_small_case_enumerated_by_hand(self):
         grid = [*map(tuple, award_grid(30.0, 3, 5.0).tolist())]
@@ -241,6 +252,7 @@ class TestAwardSearch:
                     best = e  # the first of equal losses
             found = (None, math.inf, None) if best is None else (best.prizes, best.total_loss, best.efforts)
             assert (result.best_prizes, result.best_total_loss, result.best_efforts) == found
+            assert format_search_ledger(result) == reference_search_ledger(result)
 
 
 class TestEffortSearch:

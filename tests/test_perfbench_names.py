@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from posecontest.dqn import ContestEnv, Mlp, evaluate_policy
-from posecontest.oracle import exhaustive_award_search
+from posecontest.oracle import exhaustive_award_search, format_search_ledger
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,4 +43,6 @@ def test_result_attributes_the_workloads_read(tiny_scenario, tiny_cfg):
     result = exhaustive_award_search(tiny_scenario, 3.0)
     for name in ("evaluated", "found_feasible", "best_total_loss"):
         assert hasattr(result, name), name
+    # oracle_sweep's check digests the ledger of its search result.
+    assert len(format_search_ledger(result).splitlines()) == 1 + len(result.entries) == 1 + result.evaluated
     assert all(hasattr(c, "effort_set") for c in tiny_scenario.contestants)

@@ -436,6 +436,17 @@ class TestSerialization:
         with pytest.raises(SequenceFormatError, match=message):
             load_sequence(payload, "json")
 
+    @pytest.mark.parametrize(
+        "frames",
+        ['[[["1", true, "1e3"]]]', "[[[0,0,0]], [[0,false,0]]]", "[[[0,0,1" + "0" * 400 + "]]]"],
+        ids=["strings", "boolean", "int-past-float-range"],
+    )
+    def test_json_coordinates_must_be_numbers(self, frames):
+        # As the CSV reader does, and as the JSON loader does for native_rate.
+        payload = f'{{"native_rate": 4, "user_label": "", "frames": {frames}}}'.encode()
+        with pytest.raises(SequenceFormatError, match="number triples"):
+            load_sequence(payload, "json")
+
 
 _CSV_HEADER = ["frame", "joint", "x", "y", "z"]
 HEADER = ",".join(_CSV_HEADER)
