@@ -2,7 +2,7 @@
 and the effort floor's result by the digest of its repr.
 
 A refactor that claims to leave behaviour unchanged must leave these digests
-unchanged.  The training and compare outputs pass through BLAS matrix
+unchanged.  The loss tables are pinned by the digest of their repr.  The training and compare outputs pass through BLAS matrix
 products, so their digests hold for the environment they were pinned in:
 numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64.  The clip, codec, contest and
 search outputs and the effort floor use no BLAS.
@@ -121,6 +121,36 @@ def test_generated_clips(tmp_path, fmt):
     assert cli_main(["gen", "--format", fmt, "--out", str(tmp_path)]) == 0
     got = tuple(digest(tmp_path / f"user{i}.{fmt}") for i in range(1, 5))
     assert got == GEN_DIGESTS[fmt]
+
+
+def test_generated_clips_six_joints(tmp_path):
+    # Off the 17-joint pose, and the wave user moves joint 5 alone: joints 0-4 hold still.
+    ini = tmp_path / "six.ini"
+    ini.write_text("[scenario]\njoint_count = 6\n")
+    assert cli_main(["gen", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    assert tuple(digest(tmp_path / f"user{i}.csv") for i in range(1, 5)) == (
+        "a78b5cda3cecf46b009e31df83206a25f9897260ea4bfa36f9aba84c51408a95",
+        "000ce656f82ed513324ed00dce6e69fcc4ebc176b81155d7dbee1d1d32a400fb",
+        "994071fe76f3b7fec3b4ba12a43e545fc458fe19adb146e46f07e254e0af97c0",
+        "a167e04a5f7d7d2ceabe73ab3f8864a9b3c54e9b1b2985764cc7c056db51d9b0",
+    )
+
+
+# Every default field's period divides its 300 frames; these fields also end on a
+# partial period, are shorter than most periods, hold inactive joints or blend.
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        (RunConfig(frame_count=301), "318b8c0c9dc9a8aa6f273e1bf2b42c160a17089210580dc9b2791c863217eb81"),
+        (RunConfig(frame_count=7), "f11305d539489c6e2ac68d80975fffc0397b52f7e293bb9f56a29aa482f78870"),
+        (RunConfig(joint_count=6), "c161d571ab4334833f4c16b87fd4ef8637121418f556a0589506d275e6a3ee01"),
+        (RunConfig(render_method="linear"), "47c3b4fd31194abd88b8bf3d53ab57905d287af2b45103bd9823d9f0584412e3"),
+    ],
+    ids=["301-frames", "7-frames", "6-joints", "linear"],
+)
+def test_loss_tables(cfg, expected):
+    tables = repr([c.loss_table for c in build_scenario(cfg).contestants])
+    assert hashlib.sha256(tables.encode("utf-8")).hexdigest() == expected
 
 
 @pytest.mark.parametrize(
