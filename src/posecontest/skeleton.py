@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -73,13 +73,20 @@ class SequenceFormatError(ValueError):
 
 
 def _coord_array(coords, layout: tuple[str, ...]) -> np.ndarray:
-    """The one keypoint-array rule: float64 of shape (*layout, 3), no axis empty, all finite."""
-    arr = np.asarray(coords, dtype=np.float64)
+    """The one keypoint-array rule: C-ordered float64 of shape (*layout, 3), no axis empty, all finite."""
+    arr = np.asarray(coords, dtype=np.float64, order="C")
     if arr.ndim != len(layout) + 1 or arr.shape[-1] != AXES or 0 in arr.shape:
         raise ValueError(f"coords must have shape ({', '.join(layout)}, 3) with no empty axis, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("coords hold a non-finite value")
     return arr
+
+
+def _positive_int(value, name: str) -> int:
+    """The one rate rule: an int or numpy integer of at least 1, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(eq=False)
@@ -112,9 +119,7 @@ class SkeletonSequence:
 
     def __post_init__(self):
         self.coords = _coord_array(self.coords, ("frames", "joints"))
-        if not isinstance(self.native_rate, (int, np.integer)) or self.native_rate < 1:
-            raise ValueError(f"native_rate must be a positive integer, got {self.native_rate!r}")
-        self.native_rate = int(self.native_rate)
+        self.native_rate = _positive_int(self.native_rate, "native_rate")
 
     @property
     def frame_count(self) -> int:
@@ -239,8 +244,10 @@ def generate_synthetic(
     sweep = profile.amplitude * np.sin(angle)
     mask = np.zeros(joint_count)
     mask[active] = 1.0
-    coords = base_pose(joint_count)[None, :, :] + (sweep * mask)[:, :, None] * directions[None, :, :]
-    return SkeletonSequence(coords, native_rate, user_label=profile.kind)
+    coords = np.repeat(sweep * mask, AXES, axis=1)  # (frames, joints * 3): one wide pass per operation
+    coords *= directions.ravel()
+    coords += base_pose(joint_count).ravel()  # base + s * d, as IEEE addition commutes
+    return SkeletonSequence(coords.reshape(frame_count, joint_count, AXES), native_rate, user_label=profile.kind)
 
 
 def downsample_render(
@@ -261,28 +268,28 @@ def downsample_render(
     Returns:
         A sequence of the same shape containing the rendered frames.
     """
-    if not isinstance(upload_rate, (int, np.integer)) or upload_rate < 1:
-        raise ValueError(f"upload_rate must be a positive integer, got {upload_rate!r}")
-    if sequence.native_rate % upload_rate != 0:
-        raise ValueError(
-            f"upload_rate {upload_rate} must divide the native rate {sequence.native_rate}"
-        )
-    period = sequence.native_rate // upload_rate
-    frames = sequence.frame_count
+    return replace(sequence, coords=_render(sequence.coords, _period(sequence, upload_rate), method))
+
+
+def _period(sequence: SkeletonSequence, upload_rate: int) -> int:
+    """Native frames per upload: the rate check of downsample_render and downsampling_loss."""
+    if sequence.native_rate % _positive_int(upload_rate, "upload_rate") != 0:
+        raise ValueError(f"upload_rate {upload_rate} must divide the native rate {sequence.native_rate}")
+    return sequence.native_rate // upload_rate
+
+
+def _render(coords: np.ndarray, period: int, method: str) -> np.ndarray:
+    frames = len(coords)
     anchor = (np.arange(frames) // period) * period
     if method == "hold":
-        rendered = sequence.coords[anchor]
-    elif method == "linear":
+        return coords[anchor]
+    if method == "linear":
         nxt = np.minimum(anchor + period, frames - 1)
         # Frames past the final upload have no next anchor to blend toward.
         usable = anchor + period <= frames - 1
         weight = np.where(usable, (np.arange(frames) - anchor) / period, 0.0)
-        rendered = (1.0 - weight[:, None, None]) * sequence.coords[anchor] + weight[
-            :, None, None
-        ] * sequence.coords[nxt]
-    else:
-        raise ValueError(f"unknown render method {method!r}; expected 'hold' or 'linear'")
-    return SkeletonSequence(rendered, sequence.native_rate, sequence.user_label)
+        return (1.0 - weight[:, None, None]) * coords[anchor] + weight[:, None, None] * coords[nxt]
+    raise ValueError(f"unknown render method {method!r}; expected 'hold' or 'linear'")
 
 
 def downsampling_loss(sequence: SkeletonSequence, upload_rate: int, method: str = "hold") -> float:
@@ -296,9 +303,16 @@ def downsampling_loss(sequence: SkeletonSequence, upload_rate: int, method: str 
 
     Uploading at the full native rate gives exactly 0.
     """
-    rendered = downsample_render(sequence, upload_rate, method)
-    total = float(np.sum((sequence.coords - rendered.coords) ** 2))
-    return math.sqrt(total / sequence.frame_count)
+    period, coords = _period(sequence, upload_rate), sequence.coords
+    if method == "hold":  # each frame minus its anchor, whole periods as one block, then the tail
+        diff, whole = np.empty(coords.shape), len(coords) // period * period
+        blocks = coords[:whole].reshape(whole // period, period, *coords.shape[1:])
+        np.subtract(blocks, coords[:whole:period, None], out=diff[:whole].reshape(blocks.shape))
+        np.subtract(coords[whole:], coords[whole:whole + 1], out=diff[whole:])
+    else:
+        diff = coords - _render(coords, period, method)
+    np.square(diff, out=diff)  # C-ordered, as coords are, so np.sum adds in (c - r) ** 2's order
+    return math.sqrt(float(np.sum(diff)) / sequence.frame_count)
 
 
 # --- frame codec ---------------------------------------------------------

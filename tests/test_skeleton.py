@@ -6,6 +6,11 @@ that the reader turns csv.Error into a SequenceFormatError naming the line,
 as the package's reader does.  The array versions must write the same bytes,
 and read every input to the same array or fail with the same exception and
 message.
+
+reference_generate, reference_render and reference_loss are verbatim copies of
+the clip generator, the renderer and the loss as they stood before the
+generator built its clip in (frames, joints * 3) passes and the loss stopped
+rendering a validated clip.  The package must give the same bits.
 """
 
 import csv
@@ -78,6 +83,11 @@ class TestTypes:
             SkeletonSequence(np.zeros((2, 3, 3)), 0)
         with pytest.raises(ValueError):
             SkeletonSequence(np.zeros((2, 3, 3)), 1.5)
+
+    def test_bool_native_rate_rejected(self):
+        # isinstance(True, int) holds, but a bool is no rate; the JSON loader refuses one too.
+        with pytest.raises(ValueError, match="native_rate must be a positive integer, got True"):
+            SkeletonSequence(np.zeros((2, 3, 3)), True)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -203,6 +213,12 @@ class TestRender:
             downsample_render(seq, 4)
         with pytest.raises(ValueError):
             downsample_render(seq, 0)
+
+    @pytest.mark.parametrize("call", [downsample_render, downsampling_loss])
+    def test_bool_upload_rate_rejected(self, call):
+        seq = make_sequence(np.zeros((6, 1, 3)), rate=6)
+        with pytest.raises(ValueError, match="upload_rate must be a positive integer, got True"):
+            call(seq, True)
 
     def test_unknown_method(self):
         seq = make_sequence(np.zeros((6, 1, 3)), rate=6)
@@ -667,3 +683,105 @@ class TestCsvProperties:
     @given(edited_rows(), st.sampled_from(["\n", "\r\n"]))
     def test_reader_matches_reference(self, rows, end):
         assert_reads_like_reference(csv_of(*(",".join(row) for row in rows), end=end) + end.encode())
+
+
+def reference_generate(profile, frame_count, native_rate, joint_count=JOINT_COUNT, seed=0):
+    if native_rate < 1:
+        raise ValueError("native_rate must be at least 1")
+    active = [j for j in profile.active_joints if j < joint_count]
+    if not active:
+        raise ValueError(
+            f"profile {profile.kind!r} has no active joint below joint_count={joint_count}"
+        )
+
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, joint_count)
+    directions = rng.normal(size=(joint_count, AXES))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms < 1e-12] = 1.0
+    directions /= norms
+
+    t = np.arange(frame_count, dtype=np.float64)
+    angle = 2.0 * np.pi * profile.temporal_frequency * t[:, None] / native_rate + phases[None, :]
+    sweep = profile.amplitude * np.sin(angle)
+    mask = np.zeros(joint_count)
+    mask[active] = 1.0
+    coords = base_pose(joint_count)[None, :, :] + (sweep * mask)[:, :, None] * directions[None, :, :]
+    return SkeletonSequence(coords, native_rate, user_label=profile.kind)
+
+
+def reference_render(sequence, upload_rate, method="hold"):
+    if not isinstance(upload_rate, (int, np.integer)) or upload_rate < 1:
+        raise ValueError(f"upload_rate must be a positive integer, got {upload_rate!r}")
+    if sequence.native_rate % upload_rate != 0:
+        raise ValueError(
+            f"upload_rate {upload_rate} must divide the native rate {sequence.native_rate}"
+        )
+    period = sequence.native_rate // upload_rate
+    frames = sequence.frame_count
+    anchor = (np.arange(frames) // period) * period
+    if method == "hold":
+        rendered = sequence.coords[anchor]
+    elif method == "linear":
+        nxt = np.minimum(anchor + period, frames - 1)
+        # Frames past the final upload have no next anchor to blend toward.
+        usable = anchor + period <= frames - 1
+        weight = np.where(usable, (np.arange(frames) - anchor) / period, 0.0)
+        rendered = (1.0 - weight[:, None, None]) * sequence.coords[anchor] + weight[
+            :, None, None
+        ] * sequence.coords[nxt]
+    else:
+        raise ValueError(f"unknown render method {method!r}; expected 'hold' or 'linear'")
+    return SkeletonSequence(rendered, sequence.native_rate, sequence.user_label)
+
+
+def reference_loss(sequence, upload_rate, method="hold"):
+    rendered = reference_render(sequence, upload_rate, method)
+    total = float(np.sum((sequence.coords - rendered.coords) ** 2))
+    return math.sqrt(total / sequence.frame_count)
+
+
+@st.composite
+def random_clips(draw):
+    """Clips of 1 to a few hundred frames at rates with many divisors, joints of mixed scales,
+    given in C order, Fortran order or as a reversed view."""
+    rate = draw(st.sampled_from([1, 2, 4, 6, 7, 12, 24, 30, 60]))
+    frames = draw(st.integers(1, 30) | st.integers(31, 400))
+    joints = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, size=(1, joints, 1))
+    coords = rng.normal(size=(frames, joints, AXES)) * scale
+    # A clip given in another memory layout must lose the same bits as its C-ordered copy.
+    layout = draw(st.sampled_from([np.ascontiguousarray, np.asfortranarray, lambda c: c[:, ::-1, ::-1]]))
+    return make_sequence(layout(coords), rate=rate)
+
+
+@st.composite
+def synthetic_profiles(draw):
+    """A profile and a joint count from 1 to 20 with at least one of its active joints in range."""
+    joints = draw(st.integers(1, 20))
+    rest = draw(st.lists(st.integers(0, joints + 3), max_size=joints + 3))
+    active = {draw(st.integers(0, joints - 1)), *rest}
+    amplitude = draw(st.floats(0.0, 3.0))
+    frequency = draw(st.floats(0.01, 40.0))
+    return MotionProfile("p", amplitude, frequency, tuple(draw(st.permutations(sorted(active))))), joints
+
+
+class TestArrayPassesAgainstReference:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(random_clips())
+    def test_loss_matches_reference(self, seq):
+        rate = seq.native_rate
+        for f in (d for d in range(1, rate + 1) if rate % d == 0):
+            for method in ("hold", "linear"):
+                got, want = downsampling_loss(seq, f, method), reference_loss(seq, f, method)
+                assert got.hex() == want.hex(), (f, method)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(synthetic_profiles(), st.integers(1, 300), st.integers(1, 120), st.integers(0, 2**32 - 1))
+    def test_generator_matches_reference(self, drawn, frames, rate, seed):
+        profile, joints = drawn
+        got = generate_synthetic(profile, frames, rate, joints, seed)
+        want = reference_generate(profile, frames, rate, joints, seed)
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert (got.native_rate, got.user_label) == (want.native_rate, want.user_label)
