@@ -115,8 +115,8 @@ def format_search_ledger(result: AwardSearchResult) -> str:
     # Format each distinct prize once (a lattice holds no -0.0, which would key as 0.0), and each
     # distinct efforts row's tail once: a row's loss and feasibility follow from its efforts.
     prize = {p: repr(p) for p in np.unique(e.prizes).tolist()}
-    efforts, first, row = np.unique(e.efforts, axis=0, return_index=True, return_inverse=True)
+    efforts, first, tail_of = np.unique(e.efforts, axis=0, return_index=True, return_inverse=True)
     columns = efforts.tolist(), e.total_loss[first].tolist(), e.feasible[first].tolist()
     tails = [f"{' '.join(map(str, r))},{loss!r},{'true' if ok else 'false'}" for r, loss, ok in zip(*columns)]
-    rows = [f"{' '.join(map(prize.__getitem__, p))},{tails[k]}" for p, k in zip(e.prizes.tolist(), row.tolist())]
+    rows = [f"{' '.join(map(prize.__getitem__, p))},{tails[k]}" for p, k in zip(e.prizes.tolist(), tail_of.tolist())]
     return "\n".join(["awards,efforts,total_loss,feasible", *rows]) + "\n"
