@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -287,8 +288,12 @@ def _render(coords: np.ndarray, period: int, method: str) -> np.ndarray:
         nxt = np.minimum(anchor + period, frames - 1)
         # Frames past the final upload have no next anchor to blend toward.
         usable = anchor + period <= frames - 1
-        weight = np.where(usable, (np.arange(frames) - anchor) / period, 0.0)
-        return (1.0 - weight[:, None, None]) * coords[anchor] + weight[:, None, None] * coords[nxt]
+        weight = np.where(usable, (np.arange(frames) - anchor) / period, 0.0)[:, None, None]
+        # (1 - w) * a + w * b in two gathered buffers, blended in place: the same operand pairs.
+        rendered, ahead = np.take(coords, anchor, axis=0), np.take(coords, nxt, axis=0)
+        rendered *= 1.0 - weight
+        ahead *= weight
+        return np.add(rendered, ahead, out=rendered)
     raise ValueError(f"unknown render method {method!r}; expected 'hold' or 'linear'")
 
 
@@ -310,7 +315,8 @@ def downsampling_loss(sequence: SkeletonSequence, upload_rate: int, method: str 
         np.subtract(blocks, coords[:whole:period, None], out=diff[:whole].reshape(blocks.shape))
         np.subtract(coords[whole:], coords[whole:whole + 1], out=diff[whole:])
     else:
-        diff = coords - _render(coords, period, method)
+        diff = _render(coords, period, method)
+        np.subtract(coords, diff, out=diff)
     np.square(diff, out=diff)  # C-ordered, as coords are, so np.sum adds in (c - r) ** 2's order
     return math.sqrt(float(np.sum(diff)) / sequence.frame_count)
 
@@ -330,10 +336,19 @@ class QuantBounds:
             raise ValueError("quantization bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got lo={self.lo}, hi={self.hi}")
+        if not math.isfinite(255 * (float(self.hi) - float(self.lo))):  # the quantizer's largest product
+            raise ValueError(f"need 255 * (hi - lo) finite, got lo={self.lo}, hi={self.hi}")
 
     @property
     def span(self) -> float:
         return self.hi - self.lo
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """The 256 decoded values, read-only: level k is lo + k * span / 255."""
+        levels = self.lo + np.arange(256.0) * self.span / 255.0
+        levels.flags.writeable = False
+        return levels
 
 
 def _quantize(coords: np.ndarray, bounds: QuantBounds) -> bytes:
@@ -358,8 +373,7 @@ def decode_frame(data: bytes, joint_count: int, bounds: QuantBounds = QuantBound
     expected = AXES * joint_count
     if len(data) != expected:
         raise ValueError(f"payload must be exactly {expected} bytes, got {len(data)}")
-    levels = np.frombuffer(data, dtype=np.uint8).astype(np.float64).reshape(joint_count, AXES)
-    return SkeletonFrame(bounds.lo + levels * bounds.span / 255.0)
+    return SkeletonFrame(bounds.levels[np.frombuffer(data, dtype=np.uint8)].reshape(joint_count, AXES))
 
 
 def encode_sequence(sequence: SkeletonSequence, bounds: QuantBounds = QuantBounds()) -> bytes:
@@ -388,19 +402,20 @@ def save_sequence(sequence: SkeletonSequence, fmt: str = "csv") -> bytes:
     frame then joint; it does not carry the native rate or label.  JSON keeps
     the full sequence including metadata.
     """
+    # One % call fills a clip-wide template; the values are Python floats, as repr(np.float64) differs.
+    frames, joints = sequence.coords.shape[:2]
     if fmt == "csv":
         # A float's repr holds no comma, quote or newline, so csv.writer would not quote it.
-        index = (np.indices(sequence.coords.shape[:2]).reshape(2, -1) + 1).tolist()
-        rows = zip(*index, sequence.coords.reshape(-1, AXES).tolist())
-        lines = [_CSV_HEADER] + [f"{i},{j},{x!r},{y!r},{z!r}" for i, j, (x, y, z) in rows]
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if fmt == "json":
-        payload = {
-            "native_rate": sequence.native_rate,
-            "user_label": sequence.user_label,
-            "frames": sequence.coords.tolist(),
-        }
-        return json.dumps(payload).encode("utf-8")
+        cells = np.empty((frames, joints, 1 + AXES), dtype=object)
+        cells[..., 0] = np.arange(1, frames + 1)[:, None]
+        cells[..., 1:] = sequence.coords
+        frame = "".join(f"%d,{j},%r,%r,%r\n" for j in range(1, joints + 1))
+        return (f"{_CSV_HEADER}\n" + frame * frames % tuple(cells.ravel().tolist())).encode("utf-8")
+    if fmt == "json":  # json.dumps's layout, which writes a finite float as its repr
+        meta = json.dumps(sequence.native_rate), json.dumps(sequence.user_label)
+        frame = "[" + ", ".join(["[%r, %r, %r]"] * joints) + "]"
+        body = ", ".join([frame] * frames) % tuple(sequence.coords.ravel().tolist())
+        return ('{"native_rate": %s, "user_label": %s, "frames": [' % meta + body + "]}").encode("utf-8")
     raise ValueError(f"unknown sequence format {fmt!r}; expected 'csv' or 'json'")
 
 

@@ -684,6 +684,16 @@ class TestErrors:
         assert "config error: out_dir must not be empty" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["tiny.ini"]
 
+    @pytest.mark.parametrize("lo, hi", [("-5e306", "5e306"), ("-1e308", "1e308")], ids=["product", "span"])
+    def test_codec_bounds_whose_quantizer_overflows_exit_2(self, tmp_path, capsys, lo, hi):
+        # 255 * (hi - lo) overflows; the span itself does too in the second case.
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"{TINY_INI}\n[codec]\nlo = {lo}\nhi = {hi}\n")
+        out = tmp_path / "out"
+        assert run("codec", "--config", str(ini), "--out", str(out)) == 2
+        assert "config error: need 255 * (hi - lo) finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_budget_below_user_count_exits_2(self, tmp_path, capsys, command):
         # Every user uploads at least one frame per second, so no allocation fits.

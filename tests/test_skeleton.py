@@ -11,10 +11,16 @@ reference_generate, reference_render and reference_loss are verbatim copies of
 the clip generator, the renderer and the loss as they stood before the
 generator built its clip in (frames, joints * 3) passes and the loss stopped
 rendering a validated clip.  The package must give the same bits.
+
+reference_save_json and reference_decode are verbatim copies of the JSON
+writer and of the frame decoder's arithmetic as they stood before the writers
+filled one clip-wide template and the decoder read a 256-entry level table.
+The package must give the same bytes and bits.
 """
 
 import csv
 import io
+import json
 import math
 import warnings
 
@@ -277,6 +283,25 @@ class TestProfileCalibration:
         assert means["run"] > means["dance"] > means["wave"] > means["stand"]
 
 
+# The widest span QuantBounds accepts: 255 times it is the largest product the quantizer forms.
+SPAN_LIMIT = 7.04977699946006e305
+
+
+@st.composite
+def quant_bounds(draw):
+    """Everyday spans around lo within ±1e6, or any normal lo < hi up to the widest accepted span."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-1e6, 1e6))
+        return QuantBounds(lo, lo + draw(st.sampled_from([4.0, 1.0, 255.0]) | st.floats(1e-3, 1e4)))
+    lo = draw(st.floats(-SPAN_LIMIT / 2, SPAN_LIMIT / 2, exclude_max=True, allow_subnormal=False))
+    return QuantBounds(lo, draw(st.floats(lo, SPAN_LIMIT / 2, exclude_min=True, allow_subnormal=False)))
+
+
+def reference_decode(data, joint_count, bounds):
+    levels = np.frombuffer(data, dtype=np.uint8).astype(np.float64).reshape(joint_count, AXES)
+    return bounds.lo + levels * bounds.span / 255.0
+
+
 class TestCodec:
     def test_bounds_validation(self):
         assert QuantBounds().span == 4.0
@@ -284,6 +309,18 @@ class TestCodec:
             QuantBounds(1.0, 1.0)
         with pytest.raises(ValueError):
             QuantBounds(0.0, math.inf)
+
+    @pytest.mark.parametrize("lo, hi", [(-5e306, 5e306), (-1e308, 1e308), (0.0, np.nextafter(SPAN_LIMIT, math.inf))])
+    def test_bounds_whose_quantizer_overflows_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match=r"need 255 \* \(hi - lo\) finite"):
+            QuantBounds(lo, hi)
+
+    def test_widest_bounds_decode_finite_levels(self):
+        bounds = QuantBounds(-SPAN_LIMIT / 2, SPAN_LIMIT / 2)
+        assert bounds.levels[0] == bounds.lo and bounds.levels[-1] == bounds.hi
+        assert np.isfinite(bounds.levels).all() and not bounds.levels.flags.writeable
+        clip = SkeletonSequence(np.array([[[bounds.lo, 0.0, bounds.hi]]]), 1)
+        assert list(encode_sequence(clip, bounds)) == [0, 128, 255]
 
     def test_payload_length(self):
         for joints in (1, 5, 17):
@@ -314,18 +351,11 @@ class TestCodec:
             assert np.abs(decoded.coords - coords).max() <= bounds.span / 510.0 + 1e-12
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(
-        st.floats(-1e6, 1e6),
-        st.one_of(st.sampled_from([4.0, 1.0, 255.0]), st.floats(1e-3, 1e4)),
-        st.integers(1, 6),
-        st.integers(1, 5),
-        st.data(),
-    )
-    def test_sequence_round_trip_within_half_step(self, lo, span, frames, joints, data):
+    @given(quant_bounds(), st.integers(1, 6), st.integers(1, 5), st.data())
+    def test_sequence_round_trip_within_half_step(self, bounds, frames, joints, data):
         # Any bounds, clips with values inside, on and outside them: every
         # decoded coordinate lies within half a quantization step of the clamped
         # original, up to a few ulps of the bounds' magnitude.
-        bounds = QuantBounds(lo, lo + span)
         inside = st.floats(bounds.lo, bounds.hi)
         around = st.floats(bounds.lo - bounds.span, bounds.hi + bounds.span)
         coords = data.draw(hnp.arrays(np.float64, (frames, joints, AXES), elements=st.one_of(inside, around)))
@@ -337,6 +367,12 @@ class TestCodec:
         slack = 8 * np.finfo(np.float64).eps * max(abs(bounds.lo), abs(bounds.hi), bounds.span)
         error = np.abs(decoded - np.clip(coords, bounds.lo, bounds.hi))
         assert error.max() <= bounds.span / 510.0 + slack
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(quant_bounds())
+    def test_decode_matches_reference_at_every_level(self, bounds):
+        data = bytes(range(256)) * AXES  # 256 joints: each axis takes every level once
+        assert decode_frame(data, 256, bounds).coords.tobytes() == reference_decode(data, 256, bounds).tobytes()
 
     def test_decode_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="exactly 51 bytes"):
@@ -477,6 +513,15 @@ def reference_save_csv(sequence):
             x, y, z = sequence.coords[i, j]
             writer.writerow([i + 1, j + 1, repr(float(x)), repr(float(y)), repr(float(z))])
     return buf.getvalue().encode("utf-8")
+
+
+def reference_save_json(sequence):
+    payload = {
+        "native_rate": sequence.native_rate,
+        "user_label": sequence.user_label,
+        "frames": sequence.coords.tolist(),
+    }
+    return json.dumps(payload).encode("utf-8")
 
 
 def reference_load_csv(data: bytes, native_rate: int, user_label: str) -> SkeletonSequence:
@@ -683,6 +728,31 @@ class TestCsvProperties:
     @given(edited_rows(), st.sampled_from(["\n", "\r\n"]))
     def test_reader_matches_reference(self, rows, end):
         assert_reads_like_reference(csv_of(*(",".join(row) for row in rows), end=end) + end.encode())
+
+
+# Labels that json.dumps escapes; coordinates where repr switches notation or loses the sign of zero.
+LABELS = st.text(st.sampled_from('"\\/ az\x00\x1f\x7f\n\té€😀\u2028\ud800') | st.characters(), max_size=8)
+JSON_CLIPS = st.builds(
+    make_sequence,
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5), st.just(3)),
+               elements=FLOATS | st.sampled_from([1e-5, -1e-5, 1e-4, 1e16, -1e16, 9999999999999998.0, 1e-310])),
+    st.integers(1, 2**70),
+    LABELS,
+)
+
+
+class TestJsonProperties:
+    @PROPERTY
+    @given(JSON_CLIPS)
+    def test_writer_matches_json_dumps(self, seq):
+        assert save_sequence(seq, "json") == reference_save_json(seq)
+
+    @PROPERTY
+    @given(JSON_CLIPS)
+    def test_round_trip_is_exact(self, seq):
+        back = load_sequence(save_sequence(seq, "json"), "json")
+        assert back.coords.tobytes() == seq.coords.tobytes()
+        assert (back.native_rate, back.user_label) == (seq.native_rate, seq.user_label)
 
 
 def reference_generate(profile, frame_count, native_rate, joint_count=JOINT_COUNT, seed=0):
