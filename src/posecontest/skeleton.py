@@ -410,7 +410,7 @@ def save_sequence(sequence: SkeletonSequence, fmt: str = "csv") -> bytes:
         cells[..., 0] = np.arange(1, frames + 1)[:, None]
         cells[..., 1:] = sequence.coords
         frame = "".join(f"%d,{j},%r,%r,%r\n" for j in range(1, joints + 1))
-        return (f"{_CSV_HEADER}\n" + frame * frames % tuple(cells.ravel().tolist())).encode("utf-8")
+        return (f"{_CSV_HEADER}\n" + (frame * frames) % tuple(cells.ravel().tolist())).encode("utf-8")
     if fmt == "json":  # json.dumps's layout, which writes a finite float as its repr
         meta = json.dumps(sequence.native_rate), json.dumps(sequence.user_label)
         frame = "[" + ", ".join(["[%r, %r, %r]"] * joints) + "]"

@@ -730,7 +730,7 @@ class TestCsvProperties:
         assert_reads_like_reference(csv_of(*(",".join(row) for row in rows), end=end) + end.encode())
 
 
-# Labels that json.dumps escapes; coordinates where repr switches notation or loses the sign of zero.
+# Labels with characters json.dumps escapes; coordinates at signed zeros, subnormals and where repr switches notation.
 LABELS = st.text(st.sampled_from('"\\/ az\x00\x1f\x7f\n\té€😀\u2028\ud800') | st.characters(), max_size=8)
 JSON_CLIPS = st.builds(
     make_sequence,
