@@ -30,8 +30,9 @@ SCORE_TIE_REL_TOL = 1e-9
 
 SELECTION_MODES = ("net", "payment")
 
-# Prize vectors per tie scan in BestResponse.rounds: enough to spread the per-scan overhead,
-# few enough to keep the kernel's temporaries under a megabyte on a 4-user field.
+# Prize vectors per tie scan in BestResponse.rounds: enough to spread the per-scan overhead, few
+# enough that malloc hands a block's arrays back from the heap.  The default step-1 search was
+# fastest at 512 of 256 to 2048; at 1024 it took six times the page faults.
 _ROUND_BLOCK = 512
 
 REFERENCE_RATE = 1
@@ -187,9 +188,10 @@ class BestResponse:
 
     The opponent model is calibrated to the field once (population_from), so
     the per-rank factors of expected_payment at every user's every rate, and
-    the effort costs, are tabled once, rate-major.  Payments accumulate rank by
-    rank in expected_payment's own operation order, so they match it bit for
-    bit, and one tie scan over the rates serves a whole matrix of prize vectors.
+    the effort costs, are tabled once, rate-major.  Each rank's payment term is
+    worked out once per distinct prize value, and a vector's payments add its
+    ranks' terms in expected_payment's own operation order, so they match it
+    bit for bit; one tie scan over the rates serves a whole matrix of vectors.
     Mode "net" maximizes expected payment minus effort cost; mode "payment"
     maximizes expected payment alone.  Ties go to the lowest rate.
     """
@@ -199,11 +201,11 @@ class BestResponse:
             raise ValueError(f"unknown selection mode {mode!r}; expected one of {SELECTION_MODES}")
         population = population_from(contestants)
         n_contestants = len(contestants)
-        # Ragged effort sets are padded at the high end: rate 0, score -inf, never picked.
+        # Ragged effort sets are padded at the high end: rate 0, score NaN, which no comparison takes.
         shape = (max(len(c.effort_set) for c in contestants), n_contestants, 1)
         self._win, self._lose = np.zeros((2, n_contestants, *shape))  # rank, rate, user, 1
         self._rates = np.zeros(shape, dtype=np.int64)
-        self._charge = np.full(shape, math.inf)
+        self._charge = np.full(shape, math.nan)
         self._loss = np.zeros((n_contestants, max(c.native_rate for c in contestants) + 1))
         for u, c in enumerate(contestants):
             self._loss[u, list(c.loss_table)] = list(c.loss_table.values())  # user, rate
@@ -212,35 +214,38 @@ class BestResponse:
                 _, self._win[:, r, u, 0], self._lose[:, r, u, 0] = zip(*factors)
                 self._rates[r, u] = f
                 self._charge[r, u] = cost(c.capability, f) if mode == "net" else 0.0
+        self._win, self._lose = (a.reshape(n_contestants, 1, -1) for a in (self._win, self._lose))  # rank, 1, rate·user
+        self._rates = list(self._rates)  # rate rows, so that a scan makes no views
         ways = [math.comb(n_contestants - 1, i) for i in range(n_contestants)]
-        self._ways = np.array(ways, dtype=np.float64)  # as float * int rounds the int
+        self._ways = np.array(ways, dtype=np.float64)[:, None, None]  # as float * int rounds the int
 
-    def _payments(self, prizes: np.ndarray) -> np.ndarray:
-        """Expected payments, (rates, users, vectors), for a (vectors, prizes) matrix."""
-        if prizes.shape[1] > len(self._ways):
-            raise ValueError(f"{prizes.shape[1]} prizes for {len(self._ways)} users; need count <= n")
-        total = np.zeros((*self._charge.shape[:2], len(prizes)))
-        term = np.empty_like(total)
-        # Rank by rank, in expected_payment's order: ((prize * ways) * win) * lose.
-        for paid, win, lose in zip(prizes.T * self._ways[:prizes.shape[1], None], self._win, self._lose):
-            np.multiply(paid, win, out=term)
-            term *= lose
-            total += term
-        return total
+    def _payments(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Expected payments, (rates, users, vectors), of the prize vectors values[index]."""
+        ranks = index.shape[1]
+        if ranks > len(self._ways):
+            raise ValueError(f"{ranks} prizes for {len(self._ways)} users; need count <= n")
+        # Each rank's term, ((prize * ways) * win) * lose in expected_payment's order, is tabled once
+        # per prize value; a vector's payments add its ranks' terms from 0.0, rank by rank, as there.
+        table = values[:, None] * self._ways[:ranks] * self._win[:ranks]
+        table *= self._lose[:ranks]
+        total = np.zeros((len(index), self._charge.size))
+        for term, column in zip(table, index.T):
+            total += term.take(column, axis=0)
+        return np.ascontiguousarray(total.T).reshape(*self._charge.shape[:2], -1)
 
     def payments(self, prizes: tuple[float, ...]) -> np.ndarray:
         """Expected payment of each user (row) at each of their rates (column)."""
-        return self._payments(np.array([prizes], dtype=np.float64))[:, :, 0].T
+        return self._payments(*_factored([prizes], None))[:, :, 0].T
 
-    def efforts_many(self, prizes: np.ndarray) -> np.ndarray:
-        """The rate each user picks (columns, field order) for each prize vector (rows)."""
-        scores = self._payments(np.asarray(prizes, dtype=np.float64))
+    def efforts_many(self, prizes: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+        """The rate each user picks (columns, field order) for each prize vector: each row of
+        prizes, or with index, each row of prizes[index]."""
+        scores = self._payments(*_factored(prizes, index))
         scores -= self._charge
         # A later rate must clear the best score so far by the tie tolerance.
         clear = np.maximum(np.abs(scores), 1.0)
         clear *= SCORE_TIE_REL_TOL
-        with np.errstate(invalid="ignore"):  # padded rates: -inf + inf, never cleared
-            clear += scores
+        clear += scores
         chosen = np.empty(scores.shape[1:], dtype=np.int64)
         bar = np.full(scores.shape[1:], -math.inf)
         take = np.empty(bar.shape, dtype=bool)
@@ -252,16 +257,25 @@ class BestResponse:
 
     def efforts(self, prizes: tuple[float, ...]) -> tuple[int, ...]:
         """The rate each user picks, in field order, given the prize vector."""
-        return tuple(self.efforts_many(np.array([prizes], dtype=np.float64))[0].tolist())
+        return tuple(self.efforts_many([prizes])[0].tolist())
 
-    def rounds(self, prizes: np.ndarray, budget: int) -> Rounds:
-        """The rounds of the prize vectors (rows), as columns.  Each loss adds the users in
-        field order from 0, as ScenarioConfig.round_loss does, so the two agree bit for bit."""
-        prizes = np.asarray(prizes, dtype=np.float64)
-        blocks = (prizes[start:start + _ROUND_BLOCK] for start in range(0, len(prizes), _ROUND_BLOCK))
-        efforts = np.concatenate([self.efforts_many(block) for block in blocks])
+    def rounds(self, prizes: np.ndarray, budget: int, index: np.ndarray | None = None) -> Rounds:
+        """The rounds of the prize vectors (as in efforts_many), as columns.  Each loss adds the
+        users in field order from 0, as ScenarioConfig.round_loss does, so the two agree bit for bit."""
+        values, index = _factored(prizes, index)
+        blocks = (index[start:start + _ROUND_BLOCK] for start in range(0, len(index), _ROUND_BLOCK))
+        efforts = np.concatenate([self.efforts_many(values, block) for block in blocks])
         losses = sum(table[column] for table, column in zip(self._loss, efforts.T))
-        return Rounds(prizes, efforts, losses, efforts.sum(axis=1) <= budget)
+        return Rounds(values[index], efforts, losses, efforts.sum(axis=1) <= budget)
+
+
+def _factored(prizes, index):
+    """Prize vectors as prize values and a (vectors, prizes) index into them: as given, or
+    a matrix of vectors' values raveled, with the index that rebuilds it."""
+    if index is not None:
+        return prizes, index
+    prizes = np.asarray(prizes, dtype=np.float64)
+    return prizes.ravel(), np.arange(prizes.size).reshape(prizes.shape)
 
 
 @dataclass

@@ -16,6 +16,11 @@ def award_grid(pool: float, n_contestants: int, step: float) -> np.ndarray:
 
     step must evenly divide pool.  Rows ascend in lexicographic order.
     """
+    return _lattice_parts(pool, n_contestants, step) * step
+
+
+def _lattice_parts(pool: float, n_contestants: int, step: float) -> np.ndarray:
+    """award_grid's rows in units of step, as int64."""
     if n_contestants < 1:
         raise ValueError("n_contestants must be at least 1")
     if not math.isfinite(step) or step <= 0:
@@ -34,7 +39,7 @@ def award_grid(pool: float, n_contestants: int, step: float) -> np.ndarray:
         part = least[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
         parts = np.column_stack([parts[rows], part])
         left, cap = left[rows] - part, part
-    return parts * step
+    return parts
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,10 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     smallest prize vector.  The population model is calibrated once from the
     enrolled field so every vector is judged against the same opponents.
     """
-    grid = award_grid(scenario.awards.pool, scenario.n_contestants, step)
-    entries = BestResponse(scenario.contestants, scenario.selection_mode).rounds(grid, scenario.budget)
+    # The lattice goes in as its prize values and each vector's parts, which index them.
+    parts = _lattice_parts(scenario.awards.pool, scenario.n_contestants, step)
+    values = np.arange(parts.max() + 1) * step
+    entries = BestResponse(scenario.contestants, scenario.selection_mode).rounds(values, scenario.budget, parts)
     rows = np.flatnonzero(entries.feasible)
     # argmin keeps the first of equal losses, and the grid ascends, so the smallest vector wins a tie.
     best = entries[rows[np.argmin(entries.total_loss[rows])]] if rows.size else None

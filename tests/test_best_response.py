@@ -66,9 +66,15 @@ def reference_select(contestant, awards, population, n_contestants, mode="net"):
     return best_rate
 
 
+def bits(x):
+    """The bit pattern of x as a float64, so that -0.0 and 0.0 differ."""
+    return np.float64(x).view(np.int64)
+
+
 def mismatches(contestants, prize_vectors, mode):
     """Prize vectors on which the kernel and the scalar loop disagree, on a
-    chosen rate or, to the last bit, on any expected payment.
+    chosen rate or, to the last bit (the sign of a zero too), on any expected
+    payment.
 
     Vectors of one length go through efforts_many in a single call, and each
     row is checked as well as the one-vector efforts call."""
@@ -87,7 +93,7 @@ def mismatches(contestants, prize_vectors, mode):
         expected = tuple(reference_select(c, awards, pop, n, mode) for c in contestants)
         paid = kernel.payments(prizes)
         if kernel.efforts(prizes) != expected or rows[prizes] != expected or any(
-            paid[u, r] != reference_payment(c.loss_table[f], awards, n, pop)
+            bits(paid[u, r]) != bits(reference_payment(c.loss_table[f], awards, n, pop))
             for u, c in enumerate(contestants)
             for r, f in enumerate(c.effort_set)
         ):
@@ -181,15 +187,17 @@ def test_equal_split_of_any_field_is_rate_one(users, pool, mode):
 
 @st.composite
 def prize_rows(draw, count):
-    """A non-increasing prize vector of count entries: drawn freely, or an equal
-    split whose entries step apart by a few ulps up to a few tie tolerances, so
-    that rates' payments land on both sides of SCORE_TIE_REL_TOL."""
+    """A non-increasing prize vector of count entries: drawn freely, -0.0 among
+    them (AwardSetting accepts it, and a sum started from the first term instead
+    of 0.0 would pay -0.0 for it), or an equal split whose entries step apart by
+    a few ulps up to a few tie tolerances, so that rates' payments land on both
+    sides of SCORE_TIE_REL_TOL."""
     pool = draw(st.one_of(st.sampled_from([100.0, 1.0]), st.floats(1e-3, 1e4)))
     if draw(st.booleans()):
         spread = draw(st.sampled_from([0.0, 1e-15, 1e-12, SCORE_TIE_REL_TOL, 3 * SCORE_TIE_REL_TOL, 1e-6]))
         prizes = [pool / count * (1.0 + spread * k) for k in range(count)]
     else:
-        prizes = draw(st.lists(st.floats(0.0, pool), min_size=count, max_size=count))
+        prizes = draw(st.lists(st.one_of(st.just(-0.0), st.floats(0.0, pool)), min_size=count, max_size=count))
     return tuple(sorted(prizes, reverse=True))
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecontest import contest
+from posecontest import contest, oracle
 from posecontest.contest import (
     SELECTION_MODES,
     AwardSetting,
@@ -253,6 +253,27 @@ class TestAwardSearch:
             found = (None, math.inf, None) if best is None else (best.prizes, best.total_loss, best.efforts)
             assert (result.best_prizes, result.best_total_loss, result.best_efforts) == found
             assert format_search_ledger(result) == reference_search_ledger(result)
+
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(ragged_fields(), st.sampled_from(SELECTION_MODES), st.sampled_from([2.7, 0.1, 1 / 3, 1.0]),
+           st.integers(1, 12), st.floats(0.0, 1.0))
+    def test_factored_lattice_matches_materialised_rows(self, field, mode, step, units, spare):
+        # The search passes the lattice as its prize values and each vector's integer parts;
+        # its rounds must be those of the materialised award_grid rows, prizes to the bit.
+        n = len(field)
+        budget = n + round(spare * sum(c.native_rate - 1 for c in field))
+        scenario = ScenarioConfig(field, budget, AwardSetting((units * step / n,) * n), mode)
+        grid = award_grid(scenario.awards.pool, n, step)
+        parts = oracle._lattice_parts(scenario.awards.pool, n, step)
+        values = np.arange(parts.max() + 1) * step
+        assert values[parts].tobytes() == grid.tobytes() and parts.shape == grid.shape
+        result = exhaustive_award_search(scenario, step)
+        assert result.entries.prizes.tobytes() == grid.tobytes() and result.entries.prizes.shape == grid.shape
+        efforts = BestResponse(field, mode).efforts_many(grid)
+        assert np.array_equal(result.entries.efforts, efforts)
+        for e, row in zip(result.entries, efforts.tolist()):
+            assert (e.total_loss, e.feasible) == scenario.round_loss(tuple(row))[1:]
 
 
 class TestEffortSearch:
