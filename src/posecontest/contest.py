@@ -30,9 +30,8 @@ SCORE_TIE_REL_TOL = 1e-9
 
 SELECTION_MODES = ("net", "payment")
 
-# Prize vectors per tie scan in BestResponse.rounds: enough to spread the per-scan overhead, few
-# enough that malloc hands a block's arrays back from the heap.  The default step-1 search was
-# fastest at 512 of 256 to 2048; at 1024 it took six times the page faults.
+# Prize vectors per tie scan in BestResponse.rounds: enough to spread the per-scan overhead, few enough
+# that malloc reuses a block's arrays (the default step-1 search is fastest at 512 of 256 to 2048).
 _ROUND_BLOCK = 512
 
 REFERENCE_RATE = 1
@@ -188,10 +187,9 @@ class BestResponse:
 
     The opponent model is calibrated to the field once (population_from), so
     the per-rank factors of expected_payment at every user's every rate, and
-    the effort costs, are tabled once, rate-major.  Each rank's payment term is
-    worked out once per distinct prize value, and a vector's payments add its
-    ranks' terms in expected_payment's own operation order, so they match it
-    bit for bit; one tie scan over the rates serves a whole matrix of vectors.
+    the effort costs, are tabled once, rate-major.  A rank's payment term is
+    worked out once per prize value; a vector's payments add its ranks' terms in
+    expected_payment's order, bit for bit, and one tie scan serves many vectors.
     Mode "net" maximizes expected payment minus effort cost; mode "payment"
     maximizes expected payment alone.  Ties go to the lowest rate.
     """
@@ -214,7 +212,7 @@ class BestResponse:
                 _, self._win[:, r, u, 0], self._lose[:, r, u, 0] = zip(*factors)
                 self._rates[r, u] = f
                 self._charge[r, u] = cost(c.capability, f) if mode == "net" else 0.0
-        self._win, self._lose = (a.reshape(n_contestants, 1, -1) for a in (self._win, self._lose))  # rank, 1, rate·user
+        self._win, self._lose = (f.reshape(n_contestants, 1, -1) for f in (self._win, self._lose))
         self._rates = list(self._rates)  # rate rows, so that a scan makes no views
         ways = [math.comb(n_contestants - 1, i) for i in range(n_contestants)]
         self._ways = np.array(ways, dtype=np.float64)[:, None, None]  # as float * int rounds the int
@@ -235,12 +233,15 @@ class BestResponse:
 
     def payments(self, prizes: tuple[float, ...]) -> np.ndarray:
         """Expected payment of each user (row) at each of their rates (column)."""
-        return self._payments(*_factored([prizes], None))[:, :, 0].T
+        return self._payments(*_factored([prizes]))[:, :, 0].T
 
-    def efforts_many(self, prizes: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
-        """The rate each user picks (columns, field order) for each prize vector: each row of
-        prizes, or with index, each row of prizes[index]."""
-        scores = self._payments(*_factored(prizes, index))
+    def efforts_many(self, prizes: np.ndarray) -> np.ndarray:
+        """The rate each user picks (columns, field order) for each prize vector (rows)."""
+        return self._efforts(*_factored(prizes))
+
+    def _efforts(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """efforts_many of the prize vectors values[index]."""
+        scores = self._payments(values, index)
         scores -= self._charge
         # A later rate must clear the best score so far by the tie tolerance.
         clear = np.maximum(np.abs(scores), 1.0)
@@ -259,21 +260,17 @@ class BestResponse:
         """The rate each user picks, in field order, given the prize vector."""
         return tuple(self.efforts_many([prizes])[0].tolist())
 
-    def rounds(self, prizes: np.ndarray, budget: int, index: np.ndarray | None = None) -> Rounds:
-        """The rounds of the prize vectors (as in efforts_many), as columns.  Each loss adds the
-        users in field order from 0, as ScenarioConfig.round_loss does, so the two agree bit for bit."""
-        values, index = _factored(prizes, index)
+    def rounds(self, values: np.ndarray, index: np.ndarray, budget: int) -> Rounds:
+        """The rounds of the prize vectors values[index] (index rows), as columns.  Each loss adds
+        the users in field order from 0, as ScenarioConfig.round_loss does, so the two agree bit for bit."""
         blocks = (index[start:start + _ROUND_BLOCK] for start in range(0, len(index), _ROUND_BLOCK))
-        efforts = np.concatenate([self.efforts_many(values, block) for block in blocks])
+        efforts = np.concatenate([self._efforts(values, block) for block in blocks])
         losses = sum(table[column] for table, column in zip(self._loss, efforts.T))
         return Rounds(values[index], efforts, losses, efforts.sum(axis=1) <= budget)
 
 
-def _factored(prizes, index):
-    """Prize vectors as prize values and a (vectors, prizes) index into them: as given, or
-    a matrix of vectors' values raveled, with the index that rebuilds it."""
-    if index is not None:
-        return prizes, index
+def _factored(prizes) -> tuple[np.ndarray, np.ndarray]:
+    """A (vectors, prizes) matrix as its values, raveled, and the index that rebuilds it."""
     prizes = np.asarray(prizes, dtype=np.float64)
     return prizes.ravel(), np.arange(prizes.size).reshape(prizes.shape)
 

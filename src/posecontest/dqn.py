@@ -85,6 +85,7 @@ class ContestEnv:
         self.pool = scenario.awards.pool
         self._rates = np.array([c.native_rate for c in scenario.contestants], dtype=np.float64)
         self.responses = BestResponse(scenario.contestants, scenario.selection_mode)
+        self._row = np.arange(scenario.n_contestants)[None]  # one prize vector's index into its prizes
         # A loss at or under CAPABILITY_FLOOR is rounding (an aliased clip loses ~1e-15), not
         # motion.  Only a round of such losses totals under the least loss above it; with none, 1.
         losses = [x for c in scenario.contestants for x in c.loss_table.values() if x > CAPABILITY_FLOOR]
@@ -114,7 +115,8 @@ class ContestEnv:
         # Each prize vector's round is scored once.  Moves keep prizes near the
         # pool's unit lattice, so the memo stays small.
         if prizes not in self._states:
-            self._states[prizes] = self.responses.rounds([prizes], self.scenario.budget)[0]
+            values = np.array(prizes, dtype=np.float64)
+            self._states[prizes] = self.responses.rounds(values, self._row, self.scenario.budget)[0]
         return self._states[prizes]
 
     def state_vector(self, state: Round) -> np.ndarray:

@@ -68,10 +68,10 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     smallest prize vector.  The population model is calibrated once from the
     enrolled field so every vector is judged against the same opponents.
     """
-    # The lattice goes in as its prize values and each vector's parts, which index them.
+    # The lattice goes in factored: values[parts] is award_grid's parts * step, bit for bit.
     parts = _lattice_parts(scenario.awards.pool, scenario.n_contestants, step)
     values = np.arange(parts.max() + 1) * step
-    entries = BestResponse(scenario.contestants, scenario.selection_mode).rounds(values, scenario.budget, parts)
+    entries = BestResponse(scenario.contestants, scenario.selection_mode).rounds(values, parts, scenario.budget)
     rows = np.flatnonzero(entries.feasible)
     # argmin keeps the first of equal losses, and the grid ascends, so the smallest vector wins a tie.
     best = entries[rows[np.argmin(entries.total_loss[rows])]] if rows.size else None
