@@ -254,7 +254,6 @@ class TestAwardSearch:
             assert (result.best_prizes, result.best_total_loss, result.best_efforts) == found
             assert format_search_ledger(result) == reference_search_ledger(result)
 
-
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(ragged_fields(), st.sampled_from(SELECTION_MODES), st.sampled_from([2.7, 0.1, 1 / 3, 1.0]),
            st.integers(1, 12), st.floats(0.0, 1.0))
