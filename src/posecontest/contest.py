@@ -231,10 +231,6 @@ class BestResponse:
             total += term.take(column, axis=0)
         return np.ascontiguousarray(total.T).reshape(*self._charge.shape[:2], -1)
 
-    def payments(self, prizes: tuple[float, ...]) -> np.ndarray:
-        """Expected payment of each user (row) at each of their rates (column)."""
-        return self._payments(*_factored([prizes]))[:, :, 0].T
-
     def efforts_many(self, prizes: np.ndarray) -> np.ndarray:
         """The rate each user picks (columns, field order) for each prize vector (rows)."""
         return self._efforts(*_factored(prizes))
@@ -270,9 +266,13 @@ class BestResponse:
 
 
 def _factored(prizes) -> tuple[np.ndarray, np.ndarray]:
-    """A (vectors, prizes) matrix as its values, raveled, and the index that rebuilds it."""
+    """A (vectors, prizes) matrix as its distinct values and the index that rebuilds it.
+
+    np.unique takes -0.0 and 0.0 as one value; a payment cannot tell them apart,
+    as each payment sum starts from 0.0 and 0.0 + -0.0 is 0.0."""
     prizes = np.asarray(prizes, dtype=np.float64)
-    return prizes.ravel(), np.arange(prizes.size).reshape(prizes.shape)
+    values, index = np.unique(prizes, return_inverse=True)
+    return values, index.reshape(prizes.shape)
 
 
 @dataclass

@@ -131,13 +131,15 @@ class ContestEnv:
 
 
 class Mlp:
-    """Fully connected ReLU network with a linear output layer, float64.
+    """Fully connected ReLU network with a linear output layer, float64, and its target copy.
 
-    Every parameter lives in one flat array, ``params``: per layer the weights
-    row-major, then the biases, which is save_policy's payload order.
-    ``weights`` and ``biases`` are views into it; write through them, never
-    rebind them.  Weights use He initialization when an RNG is given, zeros
-    otherwise (deserialization fills them in).
+    The online and target parameters are the two rows of one (2, P) array; each
+    row is laid out per layer as the weights row-major, then the biases, which
+    is save_policy's payload order.  ``params`` is the online row, and
+    ``weights`` and ``biases`` are views into it; ``target`` is the target row,
+    synced by one row copy.  Write through these views, never rebind them.
+    Weights use He initialization when an RNG is given, zeros otherwise
+    (deserialization fills them in).
     """
 
     def __init__(self, layer_sizes: tuple[int, ...], rng: np.random.Generator | None = None):
@@ -147,31 +149,39 @@ class Mlp:
         if any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
         self.layer_sizes = sizes
-        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
+        pair = np.zeros((2, sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))))
+        self.params, self.target = pair
         self.weights, self.biases = self._layers(self.params)
+        # Per layer, both nets' weights (2, fan_in, fan_out) and biases (2, 1, fan_out).
+        weights, biases = self._layers(pair)
+        self._pair_layers = tuple(zip(weights, (b[:, None] for b in biases)))
         self._grads = np.empty_like(self.params)  # _backprop writes here, laid out as params
         self._grad_layers = self._layers(self._grads)
+        self._rows = np.arange(0)  # the row index of the last batch size backprop saw
         if rng is not None:
             for w in self.weights:
                 w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
 
     def _layers(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        # (weights, biases) views of an array laid out as params.
-        weights, biases, offset = [], [], 0
+        # (weights, biases) views of an array laid out as params, or of a stack of such rows.
+        weights, biases, offset, lead = [], [], 0, flat.shape[:-1]
         for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
+            weights.append(flat[..., offset:offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
             offset += fan_in * fan_out
-            biases.append(flat[offset:offset + fan_out])
+            biases.append(flat[..., offset:offset + fan_out])
             offset += fan_out
         return tuple(weights), tuple(biases)
 
     def _activations(self, x: np.ndarray) -> list[np.ndarray]:
-        # The one forward pass: the (batch, features) input, each ReLU layer, the output.
+        # The one forward pass: the input, each ReLU layer, the output.  A (batch, features)
+        # input goes through the online net; a (2, batch, features) pair goes through the
+        # online net (row 0) and the target net (row 1) at once, as batched matmuls.
         # Each layer adds its bias and clips in place on its own fresh product.
         acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
-        if acts[0].shape[1] != self.layer_sizes[0]:
-            raise ValueError(f"expected {self.layer_sizes[0]} input features, got {acts[0].shape[1]}")
-        for w, b in zip(self.weights, self.biases):
+        if acts[0].shape[-1] != self.layer_sizes[0]:
+            raise ValueError(f"expected {self.layer_sizes[0]} input features, got {acts[0].shape[-1]}")
+        layers = self._pair_layers if acts[0].ndim == 3 else zip(self.weights, self.biases)
+        for w, b in layers:
             if len(acts) > 1:  # the layer below is hidden, and not the caller's input
                 np.maximum(acts[-1], 0.0, out=acts[-1])
             acts.append(acts[-1] @ w)
@@ -191,22 +201,23 @@ class Mlp:
         output of each row carries error.  Returns (weight grads, bias grads,
         loss before the step), in fresh arrays the caller owns.
         """
-        loss = self._backprop(states, actions, targets)
+        loss = self._backprop(self._activations(states), actions, targets)
         return (*self._layers(self._grads.copy()), loss)
 
-    def _backprop(self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray) -> float:
-        # Writes the gradients into self._grads; returns the loss.
-        *activations, out = self._activations(states)
+    def _backprop(self, acts: list[np.ndarray], actions: np.ndarray, targets: np.ndarray) -> float:
+        # Writes the gradients of the online net's activations acts into self._grads; returns the loss.
+        *activations, out = acts
         actions = np.asarray(actions, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.float64)
         batch = out.shape[0]
 
-        rows = np.arange(batch)
-        err = out[rows, actions] - targets
-        loss = float(np.mean(err**2))
+        if len(self._rows) != batch:
+            self._rows = np.arange(batch)
+        err = out[self._rows, actions] - targets
+        loss = float(np.add.reduce(err * err) / batch)  # np.mean's own sum and division
 
         delta = np.zeros(out.shape)
-        delta[rows, actions] = 2.0 * err / batch
+        delta[self._rows, actions] = 2.0 * err / batch
         grads_w, grads_b = self._grad_layers
         for layer in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[layer].T, delta, out=grads_w[layer])
@@ -216,11 +227,6 @@ class Mlp:
                 delta *= activations[layer] > 0.0
         return loss
 
-    def copy(self) -> "Mlp":
-        dup = Mlp(self.layer_sizes)
-        dup.params[:] = self.params
-        return dup
-
 
 def greedy_action(net: Mlp, state_vector: np.ndarray) -> int:
     """Index of the highest-valued action; ties go to the lowest index."""
@@ -228,52 +234,52 @@ def greedy_action(net: Mlp, state_vector: np.ndarray) -> int:
 
 
 class ReplayBuffer:
-    """Fixed-capacity experience store with uniform sampling, kept as four column
-    arrays allocated on the first push; once full, a push overwrites the oldest row."""
+    """Fixed-capacity experience store with uniform sampling; once full, a push
+    overwrites the oldest row.
 
-    def __init__(self, capacity: int):
+    ``pairs`` holds the states (row 0) and next states (row 1) of ``features``
+    values each as one (2, capacity, features) array, so that a sample is the
+    learner's stacked input in one gather; ``actions`` and ``rewards`` are columns.
+    """
+
+    def __init__(self, capacity: int, features: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self.columns: tuple[np.ndarray, ...] = ()
+        self.pairs = np.empty((2, capacity, features))
+        self.actions, self.rewards = np.empty(capacity, np.intp), np.empty(capacity)
         self.pushes = 0
 
     def push(self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray) -> None:
-        if not self.columns:
-            n = self.capacity
-            self.columns = (np.empty((n, len(state))), np.empty(n, np.intp),
-                            np.empty(n), np.empty((n, len(next_state))))
-        for column, value in zip(self.columns, (state, action, reward, next_state)):
-            column[self.pushes % self.capacity] = value
+        row = self.pushes % self.capacity
+        self.pairs[0, row], self.pairs[1, row] = state, next_state
+        self.actions[row], self.rewards[row] = action, reward
         self.pushes += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        """(states, actions, rewards, next states) at batch_size distinct rows."""
+        """(pairs, actions, rewards) at batch_size distinct rows: pairs is a C-contiguous
+        (2, batch_size, features) array of the states (row 0) and next states (row 1)."""
         if batch_size > len(self):
             raise ValueError(f"cannot sample {batch_size} from {len(self)} stored")
         indices = rng.choice(len(self), size=batch_size, replace=False)
-        return tuple(column[indices] for column in self.columns)
+        return self.pairs.take(indices, axis=1), self.actions[indices], self.rewards[indices]
 
     def __len__(self) -> int:
         return min(self.pushes, self.capacity)
 
 
-def mlp_update(
-    net: Mlp,
-    target_net: Mlp,
-    batch: tuple[np.ndarray, ...],
-    discount: float,
-    learning_rate: float,
-) -> float:
-    """One SGD step on the TD targets drawn from the target network.
+def mlp_update(net: Mlp, batch: tuple[np.ndarray, ...], discount: float, learning_rate: float) -> float:
+    """One SGD step on the online net, on TD targets drawn from the target net.
 
-    Returns the pre-step loss.  Raises RuntimeError if any gradient is
-    non-finite; the step is aborted in that case.
+    batch is ReplayBuffer.sample's (pairs, actions, rewards); one forward pass
+    runs the states through the online net and the next states through the
+    target net.  Returns the pre-step loss.  Raises RuntimeError if any
+    gradient is non-finite; the step is aborted in that case.
     """
-    states, actions, rewards, next_states = batch
-    next_best = target_net.forward(next_states).max(axis=1)
-    targets = rewards + discount * next_best
-    loss = net._backprop(states, actions, targets)
+    pairs, actions, rewards = batch
+    acts = net._activations(pairs)
+    targets = rewards + discount * acts[-1][1].max(axis=1)
+    loss = net._backprop([a[0] for a in acts], actions, targets)
     if not np.isfinite(net._grads).all():
         raise RuntimeError("non-finite gradient; value network update aborted")
     net.params -= learning_rate * net._grads
@@ -350,8 +356,8 @@ def train(scenario: ScenarioConfig, config: DqnConfig = DqnConfig()) -> tuple[Ml
     replay_rng = _substream(config.seed, "replay")
 
     net = Mlp((env.state_size, *config.hidden_sizes, env.n_actions), init_rng)
-    target_net = net.copy()
-    buffer = ReplayBuffer(config.buffer_capacity)
+    net.target[:] = net.params
+    buffer = ReplayBuffer(config.buffer_capacity, env.state_size)
 
     epsilon = config.epsilon_start
     history: list[EpisodeRecord] = []
@@ -373,12 +379,12 @@ def train(scenario: ScenarioConfig, config: DqnConfig = DqnConfig()) -> tuple[Ml
             if len(buffer) >= config.batch_size:
                 batch = buffer.sample(config.batch_size, replay_rng)
                 try:
-                    mlp_update(net, target_net, batch, config.discount, config.learning_rate)
+                    mlp_update(net, batch, config.discount, config.learning_rate)
                 except RuntimeError as exc:
                     raise RuntimeError(f"{exc} at episode {episode}, step {step}; the batch's rewards "
                                        f"run from {batch[2].min():.6g} to {batch[2].max():.6g}") from exc
             if step_count % config.target_sync == 0:
-                target_net = net.copy()
+                net.target[:] = net.params
         history.append(
             EpisodeRecord(
                 episode=episode,

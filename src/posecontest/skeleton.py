@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -251,35 +251,16 @@ def generate_synthetic(
     return SkeletonSequence(coords.reshape(frame_count, joint_count, AXES), native_rate, user_label=profile.kind)
 
 
-def downsample_render(
-    sequence: SkeletonSequence, upload_rate: int, method: str = "hold"
-) -> SkeletonSequence:
-    """Render the clip as a receiver sees it at a reduced upload rate.
-
-    Frame 0 is always uploaded, then every native_rate/upload_rate frames.
-    With method "hold" the renderer repeats the last uploaded frame; with
-    "linear" it interpolates between consecutive uploads (frames after the
-    final upload are held).
-
-    Args:
-        sequence: original clip.
-        upload_rate: frames uploaded per second; must divide the native rate.
-        method: "hold" or "linear".
-
-    Returns:
-        A sequence of the same shape containing the rendered frames.
-    """
-    return replace(sequence, coords=_render(sequence.coords, _period(sequence, upload_rate), method))
-
-
 def _period(sequence: SkeletonSequence, upload_rate: int) -> int:
-    """Native frames per upload: the rate check of downsample_render and downsampling_loss."""
+    """Native frames per upload: downsampling_loss's rate check."""
     if sequence.native_rate % _positive_int(upload_rate, "upload_rate") != 0:
         raise ValueError(f"upload_rate {upload_rate} must divide the native rate {sequence.native_rate}")
     return sequence.native_rate // upload_rate
 
 
 def _render(coords: np.ndarray, period: int, method: str) -> np.ndarray:
+    """The frames a receiver sees when frame 0 and every period-th frame after it are uploaded:
+    "hold" repeats the last upload, "linear" blends toward the next (and holds after the last)."""
     frames = len(coords)
     anchor = (np.arange(frames) // period) * period
     if method == "hold":

@@ -22,6 +22,7 @@ from posecontest.contest import (
     AwardSetting,
     BestResponse,
     ContestantState,
+    _factored,
     cost,
     population_from,
     win_cdf,
@@ -91,7 +92,7 @@ def mismatches(contestants, prize_vectors, mode):
     for prizes in prize_vectors:
         awards = AwardSetting(prizes)
         expected = tuple(reference_select(c, awards, pop, n, mode) for c in contestants)
-        paid = kernel.payments(prizes)
+        paid = kernel._payments(*_factored([prizes]))[:, :, 0].T  # user, rate
         if kernel.efforts(prizes) != expected or rows[prizes] != expected or any(
             bits(paid[u, r]) != bits(reference_payment(c.loss_table[f], awards, n, pop))
             for u, c in enumerate(contestants)

@@ -25,6 +25,7 @@ from posecontest.dqn import (
     Mlp,
     PolicyEvaluation,
     ReplayBuffer,
+    _substream,
     apply_action,
     enumerate_actions,
     evaluate_policy,
@@ -341,12 +342,13 @@ class TestMlp:
         assert np.array_equal(x, before)  # the forward pass writes only its own arrays
 
     def test_copy_is_independent(self):
+        # The target net is a row copy of the online parameters, in memory of its own.
         net = Mlp((2, 3), np.random.default_rng(2))
-        dup = net.copy()
-        assert np.array_equal(dup.weights[0], net.weights[0])
-        assert not np.shares_memory(dup.params, net.params)
-        dup.weights[0][0, 0] += 1.0
-        assert dup.weights[0][0, 0] != net.weights[0][0, 0]
+        net.target[:] = net.params
+        assert np.array_equal(net.target, net.params)
+        assert not np.shares_memory(net.target, net.params)
+        net.weights[0][0, 0] += 1.0
+        assert net.target[0] != net.params[0]
 
     def test_greedy_action_breaks_ties_low(self):
         net = Mlp((2, 3))  # all zeros: every action scores the same
@@ -406,51 +408,62 @@ def tagged_row(tag):
 
 class TestReplayBuffer:
     def test_push_and_len(self):
-        buf = ReplayBuffer(4)
+        buf = ReplayBuffer(4, 2)
         assert len(buf) == 0
         buf.push(*tagged_row(0))
         assert len(buf) == 1
 
-    def test_columns_allocated_on_first_push(self):
-        buf = ReplayBuffer(5)
-        assert buf.columns == ()
+    def test_columns_allocated_up_front(self):
+        buf = ReplayBuffer(5, 3)
+        first = buf.pairs, buf.actions, buf.rewards
+        assert [c.shape for c in first] == [(2, 5, 3), (5,), (5,)]
+        assert [c.dtype for c in first] == [np.float64, np.intp, np.float64]
+        assert buf.pairs.flags.c_contiguous
         buf.push(np.zeros(3), 1, 0.5, np.ones(3))
-        assert [c.shape for c in buf.columns] == [(5, 3), (5,), (5,), (5, 3)]
-        assert [c.dtype for c in buf.columns] == [np.float64, np.intp, np.float64, np.float64]
-        first = buf.columns
         buf.push(np.ones(3), 2, 1.5, np.zeros(3))
-        assert all(a is b for a, b in zip(first, buf.columns))
+        assert all(a is b for a, b in zip(first, (buf.pairs, buf.actions, buf.rewards)))
 
     def test_overwrites_oldest_when_full(self):
-        buf = ReplayBuffer(3)
+        buf = ReplayBuffer(3, 2)
         for tag in range(5):
             buf.push(*tagged_row(tag))
         assert len(buf) == 3
-        states, actions, rewards, next_states = buf.columns
+        (states, next_states), actions, rewards = buf.pairs, buf.actions, buf.rewards
         # Rows 0 and 1 held tags 0 and 1, which tags 3 and 4 overwrote.
         assert actions.tolist() == [3, 4, 2]
         assert np.array_equal(states[:, 0], actions) and np.array_equal(rewards, actions)
         assert np.array_equal(next_states[:, 0], actions)
 
     def test_sample_without_replacement(self):
-        buf = ReplayBuffer(8)
+        buf = ReplayBuffer(8, 2)
         for tag in range(8):
             buf.push(*tagged_row(tag))
-        states, actions, rewards, next_states = buf.sample(8, np.random.default_rng(0))
+        (states, next_states), actions, rewards = buf.sample(8, np.random.default_rng(0))
         assert sorted(actions.tolist()) == list(range(8))
         # Each sampled row keeps its four fields together.
         assert np.array_equal(states, np.stack([tagged_row(a)[0] for a in actions]))
         assert np.array_equal(rewards, actions) and np.array_equal(next_states[:, 0], actions)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_sample_is_one_c_contiguous_pair(self, width):
+        # The learner's stacked input: a C-contiguous (2, batch, features) array, the
+        # layout under which the batched matmuls give the two-matmul bits.
+        buf = ReplayBuffer(10, width)
+        for tag in range(10):
+            buf.push(np.full(width, float(tag)), tag, float(tag), np.full(width, -float(tag)))
+        pairs, actions, rewards = buf.sample(4, np.random.default_rng(1))
+        assert pairs.shape == (2, 4, width) and pairs.flags.c_contiguous
+        assert np.array_equal(pairs[0, :, 0], actions) and np.array_equal(pairs[1, :, 0], -rewards)
+
     def test_sample_too_large(self):
-        buf = ReplayBuffer(4)
+        buf = ReplayBuffer(4, 2)
         buf.push(*tagged_row(0))
         with pytest.raises(ValueError, match="cannot sample 2 from 1 stored"):
             buf.sample(2, np.random.default_rng(0))
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(0)
+            ReplayBuffer(0, 2)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(st.integers(1, 20), st.integers(0, 60), st.data())
@@ -459,7 +472,7 @@ class TestReplayBuffer:
         width = data.draw(st.integers(1, 4))
         rows = np.random.default_rng(seed).normal(size=(pushes, 2 * width + 1))
         actions = np.random.default_rng(seed + 1).integers(0, 19, size=pushes).tolist()
-        columns, reference = ReplayBuffer(capacity), ListReplayBuffer(capacity)
+        columns, reference = ReplayBuffer(capacity, width), ListReplayBuffer(capacity)
         for row, action in zip(rows, actions):
             state, reward, next_state = row[:width], float(row[width]), row[width + 1:]
             columns.push(state, action, reward, next_state)
@@ -470,15 +483,21 @@ class TestReplayBuffer:
         got = columns.sample(batch, rng_columns)
         expected = reference.sample(batch, rng_reference)
         assert rng_columns.bit_generator.state == rng_reference.bit_generator.state
+        pairs, actions, rewards = got
         if batch == 0:
             # The reference stacking cannot stack an empty batch; training never samples one.
-            assert expected == [] and all(len(column) == 0 for column in got)
+            assert expected == [] and pairs.shape == (2, 0, width) and len(actions) == len(rewards) == 0
             return
-        for a, b in zip(got, stack_batch(expected), strict=True):
+        for a, b in zip((pairs[0], actions, rewards, pairs[1]), stack_batch(expected), strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
         with pytest.raises(ValueError, match="cannot sample"):
             columns.sample(len(reference) + 1, rng_columns)
+
+
+def pair_batch(states, actions, rewards, next_states):
+    """A (states, actions, rewards, next states) batch as ReplayBuffer.sample gives it."""
+    return np.stack([states, next_states]), actions, rewards
 
 
 class TestUpdate:
@@ -494,30 +513,41 @@ class TestUpdate:
         rng = np.random.default_rng(7)
         net = Mlp((3, 6, 2), rng)
         target = Mlp((3, 6, 2), np.random.default_rng(8))
+        net.target[:] = target.params
         states, actions, rewards, next_states = batch = self.make_batch(rng)
         expected_targets = rewards + 0.9 * target.forward(next_states).max(axis=1)
         expected_loss = net.gradients(states, actions, expected_targets)[2]
 
-        loss = mlp_update(net, target, batch, discount=0.9, learning_rate=1e-3)
+        loss = mlp_update(net, pair_batch(*batch), discount=0.9, learning_rate=1e-3)
         assert loss == pytest.approx(expected_loss)
 
     def test_update_moves_parameters(self):
         rng = np.random.default_rng(9)
         net = Mlp((3, 6, 2), rng)
-        target = net.copy()
+        net.target[:] = net.params
         before = [w.copy() for w in net.weights]
-        mlp_update(net, target, self.make_batch(rng), 0.9, 0.1)
+        mlp_update(net, pair_batch(*self.make_batch(rng)), 0.9, 0.1)
         assert any(not np.array_equal(b, w) for b, w in zip(before, net.weights))
+
+    def test_online_steps_leave_the_target_row(self):
+        rng = np.random.default_rng(11)
+        net = Mlp((3, 6, 2), rng)
+        net.target[:] = net.params
+        synced = net.target.copy()
+        for _ in range(3):
+            mlp_update(net, pair_batch(*self.make_batch(rng)), 0.9, 0.1)
+        assert net.target.tobytes() == synced.tobytes()
+        assert not np.array_equal(net.params, synced)
 
     def test_non_finite_gradient_aborts(self):
         rng = np.random.default_rng(10)
         net = Mlp((3, 6, 2), rng)
-        target = net.copy()
+        net.target[:] = net.params
         batch = self.make_batch(rng)
         batch[2][0] = math.inf
         before = [w.copy() for w in net.weights]
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite gradient"):
-            mlp_update(net, target, batch, 0.9, 0.1)
+            mlp_update(net, pair_batch(*batch), 0.9, 0.1)
         assert all(np.array_equal(b, w) for b, w in zip(before, net.weights))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -535,7 +565,7 @@ class TestUpdate:
         # abort must match the reference update over separate weight and bias lists.
         rng = np.random.default_rng(seed)
         net = Mlp((n_in, *hidden, n_out), rng)
-        target = net.copy()
+        net.target[:] = net.params
         params = [[w.copy() for w in net.weights], [b.copy() for b in net.biases]]
         target_params = [[a.copy() for a in arrays] for arrays in params]
         for update in range(5):
@@ -547,9 +577,9 @@ class TestUpdate:
             with np.errstate(all="ignore"):
                 if expected is None:
                     with pytest.raises(RuntimeError, match="non-finite gradient"):
-                        mlp_update(net, target, (states, actions, rewards, next_states), 0.9, lr)
+                        mlp_update(net, pair_batch(states, actions, rewards, next_states), 0.9, lr)
                 else:
-                    loss = mlp_update(net, target, (states, actions, rewards, next_states), 0.9, lr)
+                    loss = mlp_update(net, pair_batch(states, actions, rewards, next_states), 0.9, lr)
                     params, expected_loss = expected
                     assert loss == expected_loss
             assert [w.tobytes() for w in net.weights] == [w.tobytes() for w in params[0]]
@@ -557,8 +587,10 @@ class TestUpdate:
             header = 9 + 4 * len(net.layer_sizes)
             layers = [w.tobytes() + b.tobytes() for w, b in zip(*params)]
             assert save_policy(net)[header:] == b"".join(layers)
+            target_layers = [w.tobytes() + b.tobytes() for w, b in zip(*target_params)]
+            assert net.target.tobytes() == b"".join(target_layers)
             if update == 1:
-                target = net.copy()
+                net.target[:] = net.params
                 target_params = [[a.copy() for a in arrays] for arrays in params]
         assert expected is None  # the last batch's non-finite reward reached the gradients
 
@@ -644,6 +676,21 @@ class TestTraining:
         assert hist_a == hist_b
         assert all(np.array_equal(a, b) for a, b in zip(net_a.weights, net_b.weights))
         assert all(np.array_equal(a, b) for a, b in zip(net_a.biases, net_b.biases))
+
+    def test_sync_makes_the_rows_equal(self, tiny_scenario, tiny_cfg):
+        # A sync after every step leaves the target row a copy of the trained online row.
+        net, _ = train(tiny_scenario, replace(tiny_cfg.dqn, target_sync=1))
+        assert net.target.tobytes() == net.params.tobytes()
+        pair = net.forward(np.ones((2, net.layer_sizes[0])))
+        both = net._activations(np.ones((2, 2, net.layer_sizes[0])))[-1]
+        assert both[0].tobytes() == both[1].tobytes() == pair.tobytes()
+
+    def test_target_holds_until_a_sync(self, tiny_scenario, tiny_cfg):
+        # 12 steps, none of them a sync: the target row stays the initial net.
+        net, _ = train(tiny_scenario, replace(tiny_cfg.dqn, target_sync=13))
+        initial = Mlp(net.layer_sizes, _substream(tiny_cfg.dqn.seed, "init"))
+        assert net.target.tobytes() == initial.params.tobytes()
+        assert not np.array_equal(net.params, initial.params)
 
     def test_seed_changes_the_run(self, tiny_scenario, tiny_cfg):
         _, hist_a = train(tiny_scenario, tiny_cfg.dqn)

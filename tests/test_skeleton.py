@@ -44,8 +44,9 @@ from posecontest.skeleton import (
     SkeletonSequence,
     base_pose,
     compression_ratio,
+    _period,
+    _render,
     decode_frame,
-    downsample_render,
     downsampling_loss,
     encode_frame,
     encode_sequence,
@@ -58,6 +59,11 @@ from posecontest.skeleton import (
 
 def make_sequence(coords, rate=6, label=""):
     return SkeletonSequence(np.asarray(coords, dtype=np.float64), rate, label)
+
+
+def render(sequence, upload_rate, method="hold"):
+    """The frames a receiver sees at upload_rate, as downsampling_loss renders them."""
+    return _render(sequence.coords, _period(sequence, upload_rate), method)
 
 
 class TestTypes:
@@ -183,44 +189,40 @@ class TestGenerate:
 class TestRender:
     def test_full_rate_is_identity(self):
         seq = generate_synthetic(get_profile("run"), 18, 6, seed=2)
-        rendered = downsample_render(seq, 6)
-        assert np.array_equal(rendered.coords, seq.coords)
+        rendered = render(seq, 6)
+        assert np.array_equal(rendered, seq.coords)
 
     def test_hold_repeats_anchor_frames(self):
         coords = np.arange(4, dtype=float).reshape(4, 1, 1) * np.ones((4, 1, 3))
         seq = make_sequence(coords, rate=2)
-        rendered = downsample_render(seq, 1)  # period 2: anchors 0, 0, 2, 2
+        rendered = render(seq, 1)  # period 2: anchors 0, 0, 2, 2
         expected = coords[[0, 0, 2, 2]]
-        assert np.array_equal(rendered.coords, expected)
+        assert np.array_equal(rendered, expected)
 
     def test_linear_interpolates_between_anchors(self):
         coords = np.zeros((5, 1, 3))
         coords[:, 0, 0] = [0.0, 9.0, 4.0, 9.0, 8.0]
         seq = make_sequence(coords, rate=2)
-        rendered = downsample_render(seq, 1, method="linear")
+        rendered = render(seq, 1, method="linear")
         # anchors 0 and 2 and 4; odd frames blend halfway; frame 4 is exact
-        assert rendered.coords[0, 0, 0] == 0.0
-        assert rendered.coords[1, 0, 0] == 2.0
-        assert rendered.coords[2, 0, 0] == 4.0
-        assert rendered.coords[3, 0, 0] == 6.0
-        assert rendered.coords[4, 0, 0] == 8.0
+        assert rendered[:, 0, 0].tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
 
     def test_linear_holds_after_last_anchor(self):
         coords = np.zeros((4, 1, 3))
         coords[:, 0, 0] = [0.0, 1.0, 6.0, 7.0]
         seq = make_sequence(coords, rate=4)
-        rendered = downsample_render(seq, 1, method="linear")
+        rendered = render(seq, 1, method="linear")
         # single anchor at frame 0, nothing to blend toward
-        assert np.array_equal(rendered.coords, np.broadcast_to(coords[0], (4, 1, 3)))
+        assert np.array_equal(rendered, np.broadcast_to(coords[0], (4, 1, 3)))
 
     def test_rate_must_divide(self):
         seq = make_sequence(np.zeros((6, 1, 3)), rate=6)
         with pytest.raises(ValueError, match="must divide"):
-            downsample_render(seq, 4)
+            _period(seq, 4)
         with pytest.raises(ValueError):
-            downsample_render(seq, 0)
+            _period(seq, 0)
 
-    @pytest.mark.parametrize("call", [downsample_render, downsampling_loss])
+    @pytest.mark.parametrize("call", [_period, downsampling_loss])
     def test_bool_upload_rate_rejected(self, call):
         seq = make_sequence(np.zeros((6, 1, 3)), rate=6)
         with pytest.raises(ValueError, match="upload_rate must be a positive integer, got True"):
@@ -229,7 +231,7 @@ class TestRender:
     def test_unknown_method(self):
         seq = make_sequence(np.zeros((6, 1, 3)), rate=6)
         with pytest.raises(ValueError, match="unknown render method"):
-            downsample_render(seq, 2, method="cubic")
+            downsampling_loss(seq, 2, method="cubic")
 
 
 class TestLoss:
