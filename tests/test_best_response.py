@@ -210,3 +210,14 @@ def test_efforts_many_rows_match_the_scalar_loop(field, mode, data):
     count = data.draw(st.integers(1, len(field)))
     rows = data.draw(st.lists(prize_rows(count), min_size=1, max_size=6, unique=True))
     assert mismatches(field, rows, mode) == []
+
+
+def test_factored_tables_each_distinct_prize_once():
+    # A plain prize matrix becomes its distinct values and the index that rebuilds it;
+    # -0.0 and 0.0 are one value, which no payment can tell apart.
+    prizes = np.array([[60.0, 40.0, 0.0], [40.0, 60.0, -0.0], [100.0, 0.0, 0.0]])
+    values, index = _factored(prizes)
+    assert values.tolist() == [0.0, 40.0, 60.0, 100.0]
+    assert index.shape == prizes.shape and np.array_equal(values[index], prizes)
+    step1 = award_grid(100.0, 4, 1.0)
+    assert len(_factored(step1)[0]) == 101
