@@ -446,8 +446,8 @@ class TestReplayBuffer:
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_sample_is_one_c_contiguous_pair(self, width):
-        # The learner's stacked input: a C-contiguous (2, batch, features) array, the
-        # layout under which the batched matmuls give the two-matmul bits.
+        # The learner's stacked input: a C-contiguous (2, batch, features) array.  A strided
+        # view of the same values changes the gradient bits of some nets with a width-1 layer.
         buf = ReplayBuffer(10, width)
         for tag in range(10):
             buf.push(np.full(width, float(tag)), tag, float(tag), np.full(width, -float(tag)))
