@@ -231,12 +231,8 @@ class BestResponse:
             total += term.take(column, axis=0)
         return np.ascontiguousarray(total.T).reshape(*self._charge.shape[:2], -1)
 
-    def efforts_many(self, prizes: np.ndarray) -> np.ndarray:
-        """The rate each user picks (columns, field order) for each prize vector (rows)."""
-        return self._efforts(*_factored(prizes))
-
     def _efforts(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """efforts_many of the prize vectors values[index]."""
+        """The rate each user picks (columns, field order) for each prize vector values[index] (rows)."""
         scores = self._payments(values, index)
         scores -= self._charge
         # A later rate must clear the best score so far by the tie tolerance.
@@ -254,7 +250,8 @@ class BestResponse:
 
     def efforts(self, prizes: tuple[float, ...]) -> tuple[int, ...]:
         """The rate each user picks, in field order, given the prize vector."""
-        return tuple(self.efforts_many([prizes])[0].tolist())
+        values = np.asarray(prizes, dtype=np.float64)  # one vector: its own values, in order
+        return tuple(self._efforts(values, np.arange(len(values))[None])[0].tolist())
 
     def rounds(self, values: np.ndarray, index: np.ndarray, budget: int) -> Rounds:
         """The rounds of the prize vectors values[index] (index rows), as columns.  Each loss adds
@@ -263,16 +260,6 @@ class BestResponse:
         efforts = np.concatenate([self._efforts(values, block) for block in blocks])
         losses = sum(table[column] for table, column in zip(self._loss, efforts.T))
         return Rounds(values[index], efforts, losses, efforts.sum(axis=1) <= budget)
-
-
-def _factored(prizes) -> tuple[np.ndarray, np.ndarray]:
-    """A (vectors, prizes) matrix as its distinct values and the index that rebuilds it.
-
-    np.unique takes -0.0 and 0.0 as one value; a payment cannot tell them apart,
-    as each payment sum starts from 0.0 and 0.0 + -0.0 is 0.0."""
-    prizes = np.asarray(prizes, dtype=np.float64)
-    values, index = np.unique(prizes, return_inverse=True)
-    return values, index.reshape(prizes.shape)
 
 
 @dataclass

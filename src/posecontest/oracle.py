@@ -10,22 +10,16 @@ import numpy as np
 from .contest import BestResponse, Rounds, ScenarioConfig
 
 
-def award_grid(pool: float, n_contestants: int, step: float) -> np.ndarray:
-    """All non-increasing prize vectors of length n summing to pool on a step
-    lattice, one per row of a (vectors, n) float64 array.
-
-    step must evenly divide pool.  Rows ascend in lexicographic order.
-    """
-    return _lattice_parts(pool, n_contestants, step) * step
-
-
 def _lattice_parts(pool: float, n_contestants: int, step: float) -> np.ndarray:
-    """award_grid's rows in units of step, as int64."""
+    """All non-increasing prize vectors of length n summing to pool, in units of step, which must
+    divide pool: one per row of a (vectors, n) int64 array, rows in ascending lexicographic order."""
     if n_contestants < 1:
         raise ValueError("n_contestants must be at least 1")
     if not math.isfinite(step) or step <= 0:
         raise ValueError(f"step must be positive, got {step!r}")
     units = pool / step
+    if units >= 2**63:
+        raise ValueError(f"step {step} cuts pool {pool} into more units than int64 holds")
     if abs(units - round(units)) > 1e-9:
         raise ValueError(f"step {step} does not divide pool {pool}")
     # Slot by slot, each prefix row extends by every part from the least that still fits the
@@ -68,7 +62,7 @@ def exhaustive_award_search(scenario: ScenarioConfig, step: float) -> AwardSearc
     smallest prize vector.  The population model is calibrated once from the
     enrolled field so every vector is judged against the same opponents.
     """
-    # The lattice goes in factored: values[parts] is award_grid's parts * step, bit for bit.
+    # The lattice goes in factored: values[parts] is parts * step, bit for bit.
     parts = _lattice_parts(scenario.awards.pool, scenario.n_contestants, step)
     values = np.arange(parts.max() + 1) * step
     entries = BestResponse(scenario.contestants, scenario.selection_mode).rounds(values, parts, scenario.budget)

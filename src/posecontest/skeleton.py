@@ -99,10 +99,6 @@ class SkeletonFrame:
     def __post_init__(self):
         self.coords = _coord_array(self.coords, ("joints",))
 
-    @property
-    def joint_count(self) -> int:
-        return self.coords.shape[0]
-
 
 @dataclass(eq=False)
 class SkeletonSequence:
@@ -259,23 +255,21 @@ def _period(sequence: SkeletonSequence, upload_rate: int) -> int:
 
 
 def _render(coords: np.ndarray, period: int, method: str) -> np.ndarray:
-    """The frames a receiver sees when frame 0 and every period-th frame after it are uploaded:
-    "hold" repeats the last upload, "linear" blends toward the next (and holds after the last)."""
+    """The "linear" frames a receiver sees when frame 0 and every period-th frame after it are uploaded:
+    each blends toward the next upload (and holds after the last).  The hold loss renders nothing."""
+    if method != "linear":
+        raise ValueError(f"unknown render method {method!r}; downsampling_loss takes 'hold' or 'linear'")
     frames = len(coords)
     anchor = (np.arange(frames) // period) * period
-    if method == "hold":
-        return coords[anchor]
-    if method == "linear":
-        nxt = np.minimum(anchor + period, frames - 1)
-        # Frames past the final upload have no next anchor to blend toward.
-        usable = anchor + period <= frames - 1
-        weight = np.where(usable, (np.arange(frames) - anchor) / period, 0.0)[:, None, None]
-        # (1 - w) * a + w * b in two gathered buffers, blended in place: the same operand pairs.
-        rendered, ahead = np.take(coords, anchor, axis=0), np.take(coords, nxt, axis=0)
-        rendered *= 1.0 - weight
-        ahead *= weight
-        return np.add(rendered, ahead, out=rendered)
-    raise ValueError(f"unknown render method {method!r}; expected 'hold' or 'linear'")
+    nxt = np.minimum(anchor + period, frames - 1)
+    # Frames past the final upload have no next anchor to blend toward.
+    usable = anchor + period <= frames - 1
+    weight = np.where(usable, (np.arange(frames) - anchor) / period, 0.0)[:, None, None]
+    # (1 - w) * a + w * b in two gathered buffers, blended in place: the same operand pairs.
+    rendered, ahead = np.take(coords, anchor, axis=0), np.take(coords, nxt, axis=0)
+    rendered *= 1.0 - weight
+    ahead *= weight
+    return np.add(rendered, ahead, out=rendered)
 
 
 def downsampling_loss(sequence: SkeletonSequence, upload_rate: int, method: str = "hold") -> float:

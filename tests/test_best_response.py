@@ -4,8 +4,8 @@ reference_payment and reference_select are verbatim copies of the scalar
 expected_payment and select_effort as they stood before BestResponse
 existed.  The kernel must compute exactly the same payments and pick exactly
 the same rate for every user on every prize vector, one vector at a time
-(efforts) and a matrix of vectors at once (efforts_many), so the comparisons
-below are equalities, not tolerances.
+(efforts) and a block of vectors at once (_efforts, each row indexing its own
+prizes), so the comparisons below are equalities, not tolerances.
 """
 
 import math
@@ -22,12 +22,11 @@ from posecontest.contest import (
     AwardSetting,
     BestResponse,
     ContestantState,
-    _factored,
     cost,
     population_from,
     win_cdf,
 )
-from posecontest.oracle import award_grid
+from posecontest.oracle import _lattice_parts
 from posecontest.skeleton import DEFAULT_PROFILES, generate_synthetic, get_profile
 from test_acceptance import SMALL
 from test_oracle import ragged_fields
@@ -77,22 +76,24 @@ def mismatches(contestants, prize_vectors, mode):
     chosen rate or, to the last bit (the sign of a zero too), on any expected
     payment.
 
-    Vectors of one length go through efforts_many in a single call, and each
-    row is checked as well as the one-vector efforts call."""
+    Vectors of one length go through _efforts in a single call, each row
+    indexing its own prizes in the block's values, and each row is checked as
+    well as the one-vector efforts call."""
     pop = population_from(contestants)
     n = len(contestants)
     kernel = BestResponse(contestants, mode)
     rows = {}
     for count in {len(prizes) for prizes in prize_vectors}:
         block = [prizes for prizes in prize_vectors if len(prizes) == count]
-        chosen = kernel.efforts_many(np.array(block))
+        values = np.array(block, dtype=np.float64).ravel()
+        chosen = kernel._efforts(values, np.arange(values.size).reshape(len(block), count))
         assert chosen.shape == (len(block), n)
         rows.update(zip(block, map(tuple, chosen.tolist())))
     bad = []
     for prizes in prize_vectors:
         awards = AwardSetting(prizes)
         expected = tuple(reference_select(c, awards, pop, n, mode) for c in contestants)
-        paid = kernel._payments(*_factored([prizes]))[:, :, 0].T  # user, rate
+        paid = kernel._payments(np.asarray(prizes), np.arange(len(prizes))[None])[:, :, 0].T  # user, rate
         if kernel.efforts(prizes) != expected or rows[prizes] != expected or any(
             bits(paid[u, r]) != bits(reference_payment(c.loss_table[f], awards, n, pop))
             for u, c in enumerate(contestants)
@@ -115,7 +116,7 @@ def ragged_field():
 
 @pytest.mark.parametrize("mode", SELECTION_MODES)
 def test_default_step1_lattice(default_scenario, mode):
-    lattice = [*map(tuple, award_grid(100.0, 4, 1.0).tolist())]
+    lattice = [*map(tuple, (_lattice_parts(100.0, 4, 1.0) * 1.0).tolist())]
     assert len(lattice) == 8037
     assert mismatches(default_scenario.contestants, lattice, mode) == []
 
@@ -123,14 +124,15 @@ def test_default_step1_lattice(default_scenario, mode):
 @pytest.mark.parametrize("mode", SELECTION_MODES)
 def test_small_lattice(mode):
     scenario = build_scenario(SMALL)
-    lattice = [*map(tuple, award_grid(SMALL.pool, SMALL.users, SMALL.search_step).tolist())]
+    parts = _lattice_parts(SMALL.pool, SMALL.users, SMALL.search_step)
+    lattice = [*map(tuple, (parts * SMALL.search_step).tolist())]
     assert mismatches(scenario.contestants, lattice, mode) == []
 
 
 @pytest.mark.parametrize("mode", SELECTION_MODES)
 def test_ragged_field(ragged_field, mode):
     assert [c.native_rate for c in ragged_field] == [12, 30, 60]
-    assert mismatches(ragged_field, [*map(tuple, award_grid(30.0, 3, 1.0).tolist())], mode) == []
+    assert mismatches(ragged_field, [*map(tuple, (_lattice_parts(30.0, 3, 1.0) * 1.0).tolist())], mode) == []
 
 
 @pytest.mark.parametrize("mode", SELECTION_MODES)
@@ -141,7 +143,7 @@ def test_prize_vector_shorter_than_field(default_scenario, mode):
     with pytest.raises(ValueError, match="count <= n"):
         kernel.efforts((20.0,) * 5)
     with pytest.raises(ValueError, match="count <= n"):
-        kernel.efforts_many(np.full((3, 5), 20.0))
+        kernel.rounds(np.array([20.0]), np.zeros((3, 5), dtype=np.int64), budget=20)
 
 
 @pytest.mark.parametrize("mode", SELECTION_MODES)
@@ -206,18 +208,8 @@ def prize_rows(draw, count):
 @given(ragged_fields(max_users=10), st.sampled_from(SELECTION_MODES), st.data())
 def test_efforts_many_rows_match_the_scalar_loop(field, mode, data):
     # Ragged fields of 1-10 users with tied and near-tied losses; a block of
-    # prize vectors of one length, up to the field's, in one efforts_many call.
+    # prize vectors of one length, up to the field's, in one _efforts call.
     count = data.draw(st.integers(1, len(field)))
     rows = data.draw(st.lists(prize_rows(count), min_size=1, max_size=6, unique=True))
     assert mismatches(field, rows, mode) == []
 
-
-def test_factored_tables_each_distinct_prize_once():
-    # A plain prize matrix becomes its distinct values and the index that rebuilds it;
-    # -0.0 and 0.0 are one value, which no payment can tell apart.
-    prizes = np.array([[60.0, 40.0, 0.0], [40.0, 60.0, -0.0], [100.0, 0.0, 0.0]])
-    values, index = _factored(prizes)
-    assert values.tolist() == [0.0, 40.0, 60.0, 100.0]
-    assert index.shape == prizes.shape and np.array_equal(values[index], prizes)
-    step1 = award_grid(100.0, 4, 1.0)
-    assert len(_factored(step1)[0]) == 101

@@ -660,6 +660,15 @@ class TestErrors:
         assert run(command, "--config", str(ini), "--out", str(tmp_path / "out")) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [("step = 5", "step = 1e-20"), ("pool = 10", "pool = 1e300")],
+                             ids=["step", "pool"])
+    def test_lattice_of_more_units_than_int64_exits_2(self, tmp_path, capsys, old, new):
+        # pool / step lattice units past int64's range are a config error, not a crash in the search.
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY_INI.replace(old, new))
+        assert run("search", "--config", str(ini), "--out", str(tmp_path / "out")) == 2
+        assert "config error: step" in capsys.readouterr().err
+
     def test_profile_without_joints_in_range_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text(TINY_INI.replace("profiles = run, stand", "profiles = run, wave")

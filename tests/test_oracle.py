@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecontest import contest, oracle
+from posecontest import contest
 from posecontest.contest import (
     SELECTION_MODES,
     AwardSetting,
@@ -21,8 +21,8 @@ from posecontest.contest import (
 )
 from posecontest.dqn import ContestEnv
 from posecontest.oracle import (
+    _lattice_parts,
     average_baseline,
-    award_grid,
     exhaustive_award_search,
     exhaustive_effort_search,
     format_search_ledger,
@@ -67,7 +67,7 @@ def reference_search_ledger(result):
 
 class TestAwardGrid:
     def test_small_case_enumerated_by_hand(self):
-        grid = [*map(tuple, award_grid(30.0, 3, 5.0).tolist())]
+        grid = [*map(tuple, (_lattice_parts(30.0, 3, 5.0) * 5.0).tolist())]
         expected = {
             (30.0, 0.0, 0.0),
             (25.0, 5.0, 0.0),
@@ -90,15 +90,16 @@ class TestAwardGrid:
                 for combo in itertools.product(range(units + 1), repeat=n)
                 if sum(combo) == units and all(a >= b for a, b in zip(combo, combo[1:]))
             }
-            grid = [*map(tuple, award_grid(pool, n, step).tolist())]
+            grid = [*map(tuple, (_lattice_parts(pool, n, step) * step).tolist())]
             assert len(grid) == len(brute) and set(grid) == brute
             assert grid == sorted(grid)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(st.integers(1, 5), st.integers(0, 9), st.sampled_from([1.0, 5.0, 2.5, 0.7, 0.1, 1 / 3]))
     def test_matches_filtered_product_for_any_lattice(self, n, units, step):
-        grid = award_grid(units * step, n, step)
-        assert grid.dtype == np.float64 and grid.shape[1] == n
+        parts = _lattice_parts(units * step, n, step)
+        assert parts.dtype == np.int64 and parts.shape[1] == n
+        grid = parts * step
         brute = sorted(
             tuple(u * step for u in combo)
             for combo in itertools.product(range(units + 1), repeat=n)
@@ -108,31 +109,35 @@ class TestAwardGrid:
         assert [*map(tuple, grid.tolist())] == brute
 
     def test_entries_are_valid_prize_vectors(self):
-        for entry in award_grid(100.0, 4, 5.0):
+        for entry in _lattice_parts(100.0, 4, 5.0) * 5.0:
             assert len(entry) == 4
             assert sum(entry) == pytest.approx(100.0)
             assert all(a >= b for a, b in zip(entry, entry[1:]))
             assert entry[-1] >= 0.0
 
     def test_single_slot(self):
-        grid = award_grid(10.0, 1, 5.0)
-        assert grid.dtype == np.float64 and grid.tolist() == [[10.0]]
+        parts = _lattice_parts(10.0, 1, 5.0)
+        assert parts.dtype == np.int64 and parts.tolist() == [[2]]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="does not divide"):
-            award_grid(10.0, 2, 3.0)
+            _lattice_parts(10.0, 2, 3.0)
         with pytest.raises(ValueError):
-            award_grid(10.0, 0, 5.0)
+            _lattice_parts(10.0, 0, 5.0)
         with pytest.raises(ValueError):
-            award_grid(10.0, 2, 0.0)
+            _lattice_parts(10.0, 2, 0.0)
         with pytest.raises(ValueError):
-            award_grid(10.0, 2, math.inf)
+            _lattice_parts(10.0, 2, math.inf)
+        # More units than int64 holds, including a pool / step that overflows to inf.
+        for pool, step in ((10.0, 1e-20), (1e300, 5.0), (1e300, 1e-20), (2.0**63, 1.0)):
+            with pytest.raises(ValueError, match="more units than int64 holds"):
+                _lattice_parts(pool, 2, step)
 
 
 class TestAwardSearch:
     def test_finds_the_grid_minimum(self, tiny_scenario):
         result = exhaustive_award_search(tiny_scenario, 3.0)
-        grid = [*map(tuple, award_grid(12.0, 3, 3.0).tolist())]
+        grid = [*map(tuple, (_lattice_parts(12.0, 3, 3.0) * 3.0).tolist())]
         assert result.evaluated == len(grid) == len(result.entries)
 
         feasible = []
@@ -148,7 +153,8 @@ class TestAwardSearch:
 
     def test_entries_align_with_grid(self, tiny_scenario):
         result = exhaustive_award_search(tiny_scenario, 6.0)
-        assert [e.prizes for e in result.entries] == [*map(tuple, award_grid(12.0, 3, 6.0).tolist())]
+        grid = _lattice_parts(12.0, 3, 6.0) * 6.0
+        assert [e.prizes for e in result.entries] == [*map(tuple, grid.tolist())]
         for e in result.entries:
             outcome = simulate_contest(tiny_scenario.with_awards(e.prizes))
             assert e.efforts == outcome.efforts
@@ -192,7 +198,7 @@ class TestAwardSearch:
         scenario = ScenarioConfig(field, 25, AwardSetting((2.7,) * 10))
         monkeypatch.setattr(contest, "_ROUND_BLOCK", 5)
         result = exhaustive_award_search(scenario, 2.7)
-        assert result.evaluated == len(award_grid(scenario.awards.pool, 10, 2.7)) == 42
+        assert result.evaluated == len(_lattice_parts(scenario.awards.pool, 10, 2.7)) == 42
         kernel = BestResponse(field)
         for e in result.entries:
             assert e.efforts == kernel.efforts(e.prizes)
@@ -233,7 +239,7 @@ class TestAwardSearch:
         n = len(field)
         budget = n + round(spare * sum(c.native_rate - 1 for c in field))
         scenario = ScenarioConfig(field, budget, AwardSetting((units * step / n,) * n), mode)
-        grid = [*map(tuple, award_grid(scenario.awards.pool, n, step).tolist())]
+        grid = [*map(tuple, (_lattice_parts(scenario.awards.pool, n, step) * step).tolist())]
         kernel = BestResponse(field, mode)
         for block in (1, 2, 7):
             with pytest.MonkeyPatch.context() as patch:
@@ -259,17 +265,18 @@ class TestAwardSearch:
            st.integers(1, 12), st.floats(0.0, 1.0))
     def test_factored_lattice_matches_materialised_rows(self, field, mode, step, units, spare):
         # The search passes the lattice as its prize values and each vector's integer parts;
-        # its rounds must be those of the materialised award_grid rows, prizes to the bit.
+        # its rounds must be those of the materialised rows parts * step, prizes to the bit.
         n = len(field)
         budget = n + round(spare * sum(c.native_rate - 1 for c in field))
         scenario = ScenarioConfig(field, budget, AwardSetting((units * step / n,) * n), mode)
-        grid = award_grid(scenario.awards.pool, n, step)
-        parts = oracle._lattice_parts(scenario.awards.pool, n, step)
+        parts = _lattice_parts(scenario.awards.pool, n, step)
+        grid = parts * step
         values = np.arange(parts.max() + 1) * step
-        assert values[parts].tobytes() == grid.tobytes() and parts.shape == grid.shape
+        assert values[parts].tobytes() == grid.tobytes()
         result = exhaustive_award_search(scenario, step)
         assert result.entries.prizes.tobytes() == grid.tobytes() and result.entries.prizes.shape == grid.shape
-        efforts = BestResponse(field, mode).efforts_many(grid)
+        kernel = BestResponse(field, mode)
+        efforts = np.array([kernel.efforts(row) for row in grid.tolist()])
         assert np.array_equal(result.entries.efforts, efforts)
         for e, row in zip(result.entries, efforts.tolist()):
             assert (e.total_loss, e.feasible) == scenario.round_loss(tuple(row))[1:]

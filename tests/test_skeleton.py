@@ -61,9 +61,9 @@ def make_sequence(coords, rate=6, label=""):
     return SkeletonSequence(np.asarray(coords, dtype=np.float64), rate, label)
 
 
-def render(sequence, upload_rate, method="hold"):
-    """The frames a receiver sees at upload_rate, as downsampling_loss renders them."""
-    return _render(sequence.coords, _period(sequence, upload_rate), method)
+def render(sequence, upload_rate):
+    """The frames a receiver sees at upload_rate, as downsampling_loss's linear method renders them."""
+    return _render(sequence.coords, _period(sequence, upload_rate), "linear")
 
 
 class TestTypes:
@@ -75,7 +75,7 @@ class TestTypes:
 
     def test_frame_validation(self):
         frame = SkeletonFrame(np.zeros((4, 3)))
-        assert frame.joint_count == 4
+        assert frame.coords.shape == (4, 3)
         with pytest.raises(ValueError):
             SkeletonFrame(np.zeros((4, 2)))
         with pytest.raises(ValueError):
@@ -192,18 +192,11 @@ class TestRender:
         rendered = render(seq, 6)
         assert np.array_equal(rendered, seq.coords)
 
-    def test_hold_repeats_anchor_frames(self):
-        coords = np.arange(4, dtype=float).reshape(4, 1, 1) * np.ones((4, 1, 3))
-        seq = make_sequence(coords, rate=2)
-        rendered = render(seq, 1)  # period 2: anchors 0, 0, 2, 2
-        expected = coords[[0, 0, 2, 2]]
-        assert np.array_equal(rendered, expected)
-
     def test_linear_interpolates_between_anchors(self):
         coords = np.zeros((5, 1, 3))
         coords[:, 0, 0] = [0.0, 9.0, 4.0, 9.0, 8.0]
         seq = make_sequence(coords, rate=2)
-        rendered = render(seq, 1, method="linear")
+        rendered = render(seq, 1)
         # anchors 0 and 2 and 4; odd frames blend halfway; frame 4 is exact
         assert rendered[:, 0, 0].tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
 
@@ -211,7 +204,7 @@ class TestRender:
         coords = np.zeros((4, 1, 3))
         coords[:, 0, 0] = [0.0, 1.0, 6.0, 7.0]
         seq = make_sequence(coords, rate=4)
-        rendered = render(seq, 1, method="linear")
+        rendered = render(seq, 1)
         # single anchor at frame 0, nothing to blend toward
         assert np.array_equal(rendered, np.broadcast_to(coords[0], (4, 1, 3)))
 
@@ -232,6 +225,8 @@ class TestRender:
         seq = make_sequence(np.zeros((6, 1, 3)), rate=6)
         with pytest.raises(ValueError, match="unknown render method"):
             downsampling_loss(seq, 2, method="cubic")
+        with pytest.raises(ValueError, match="unknown render method 'hold'"):
+            _render(seq.coords, 3, "hold")  # the hold loss is worked out without a render
 
 
 class TestLoss:
