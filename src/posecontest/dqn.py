@@ -83,7 +83,8 @@ class ContestEnv:
         self.reward_scale = reward_scale
         self.actions = enumerate_actions(scenario.n_contestants)
         self.pool = scenario.awards.pool
-        self._rates = np.array([c.native_rate for c in scenario.contestants], dtype=np.float64)
+        rates = [c.native_rate for c in scenario.contestants]
+        self._scale = np.array([self.pool] * len(rates) + rates)  # a network input: prizes / pool, rates / rate
         self.responses = BestResponse(scenario.contestants, scenario.selection_mode)
         self._row = np.arange(scenario.n_contestants)[None]  # one prize vector's index into its prizes
         # A loss at or under CAPABILITY_FLOOR is rounding (an aliased clip loses ~1e-15), not
@@ -91,7 +92,9 @@ class ContestEnv:
         losses = [x for c in scenario.contestants for x in c.loss_table.values() if x > CAPABILITY_FLOOR]
         self._loss_floor = min(losses, default=1.0)
         self._states: dict[tuple[float, ...], Round] = {}  # by prize vector
-        self._vectors: dict[Round, np.ndarray] = {}  # network inputs, one per state
+        self._index: dict[Round, int] = {}  # each state's row of inputs, in the order first seen
+        self._table = np.empty((64, self.state_size))  # doubles when full
+        self.inputs = self._table[:0]  # the network input of each state seen, read-only
 
     @property
     def n_actions(self) -> int:
@@ -119,15 +122,22 @@ class ContestEnv:
             self._states[prizes] = self.responses.rounds(values, self._row, self.scenario.budget)[0]
         return self._states[prizes]
 
+    def state_index(self, state: Round) -> int:
+        """The state's row of inputs; a state not seen before gets the next row."""
+        row = self._index.get(state)
+        if row is None:
+            row = self._index[state] = len(self._index)
+            if row == len(self._table):
+                self._table = np.concatenate([self._table, np.empty_like(self._table)])
+            np.divide(state.prizes + state.efforts, self._scale, out=self._table[row])
+            self.inputs = self._table[:row + 1]
+            self.inputs.flags.writeable = False
+        return row
+
     def state_vector(self, state: Round) -> np.ndarray:
-        """Network input, read-only: prizes normalized by pool, rates by native rate."""
-        vec = self._vectors.get(state)
-        if vec is None:
-            prizes = np.asarray(state.prizes, dtype=np.float64) / self.pool
-            efforts = np.asarray(state.efforts, dtype=np.float64) / self._rates
-            vec = self._vectors[state] = np.concatenate([prizes, efforts])
-            vec.flags.writeable = False
-        return vec
+        """The state's network input, its row of inputs: prizes normalized by pool, rates by native rate."""
+        row = self.state_index(state)
+        return self.inputs[row]
 
 
 class Mlp:
@@ -237,49 +247,60 @@ class ReplayBuffer:
     """Fixed-capacity experience store with uniform sampling; once full, a push
     overwrites the oldest row.
 
-    ``pairs`` holds the states (row 0) and next states (row 1) of ``features``
-    values each as one (2, capacity, features) array, so that a sample is the
-    learner's stacked input in one gather; ``actions`` and ``rewards`` are columns.
+    A transition is a row of four columns: its state's index (a row of the env's
+    ``inputs``), the action, the reward and the next state's index.
     """
 
-    def __init__(self, capacity: int, features: int):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self.pairs = np.empty((2, capacity, features))
-        self.actions, self.rewards = np.empty(capacity, np.intp), np.empty(capacity)
+        self.states, self.actions, self.next_states = (np.empty(capacity, np.intp) for _ in range(3))
+        self.rewards = np.empty(capacity)
         self.pushes = 0
 
-    def push(self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray) -> None:
+    def push(self, state: int, action: int, reward: float, next_state: int) -> None:
         row = self.pushes % self.capacity
-        self.pairs[0, row], self.pairs[1, row] = state, next_state
-        self.actions[row], self.rewards[row] = action, reward
+        self.states[row], self.actions[row] = state, action
+        self.rewards[row], self.next_states[row] = reward, next_state
         self.pushes += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        """(pairs, actions, rewards) at batch_size distinct rows: pairs is a C-contiguous
-        (2, batch_size, features) array of the states (row 0) and next states (row 1)."""
+        """(states, actions, rewards, next states) at batch_size distinct rows."""
         if batch_size > len(self):
             raise ValueError(f"cannot sample {batch_size} from {len(self)} stored")
         indices = rng.choice(len(self), size=batch_size, replace=False)
-        return self.pairs.take(indices, axis=1), self.actions[indices], self.rewards[indices]
+        return self.states[indices], self.actions[indices], self.rewards[indices], self.next_states[indices]
 
     def __len__(self) -> int:
         return min(self.pushes, self.capacity)
 
 
-def mlp_update(net: Mlp, batch: tuple[np.ndarray, ...], discount: float, learning_rate: float) -> float:
-    """One SGD step on the online net, on TD targets drawn from the target net.
+def mlp_update(net: Mlp, batch: tuple[np.ndarray, ...], inputs: np.ndarray, values: np.ndarray,
+               discount: float, learning_rate: float) -> float:
+    """One SGD step on the online net, on TD targets rewards + discount * values[next states].
 
-    batch is ReplayBuffer.sample's (pairs, actions, rewards); one forward pass
-    runs the states through the online net and the next states through the
-    target net.  Returns the pre-step loss.  Raises RuntimeError if any
-    gradient is non-finite; the step is aborted in that case.
-    """
-    pairs, actions, rewards = batch
-    acts = net._activations(pairs)
-    targets = rewards + discount * acts[-1][1].max(axis=1)
-    loss = net._backprop([a[0] for a in acts], actions, targets)
+    batch is ReplayBuffer.sample's (states, actions, rewards, next states), states being rows of
+    inputs.  values[i] is the target net's max-Q of inputs[i], NaN until valued after a sync.  A next
+    state without one costs one pass of both nets, whose target rows value it and, in place of valued
+    next states, the lowest-indexed unvalued states out of the batch.  Returns the pre-step loss.
+    Raises RuntimeError if any gradient is non-finite; the step is aborted in that case."""
+    states, actions, rewards, next_states = batch
+    stale = np.isnan(values[next_states])
+    if stale.any():
+        rows, held = next_states.copy(), (~stale).nonzero()[0]
+        if len(held):
+            spare = np.isnan(values[:len(inputs)])
+            spare[next_states] = False
+            spare = spare.nonzero()[0][:len(held)]
+            held = held[:len(spare)]
+            rows[held], stale[held] = spare, True
+        acts = net._activations(inputs.take(np.array((states, rows)), axis=0))
+        values[rows[stale]] = acts[-1][1].max(axis=1)[stale]
+        acts = [a[0] for a in acts]
+    else:
+        acts = net._activations(inputs.take(states, axis=0))
+    loss = net._backprop(acts, actions, rewards + discount * values[next_states])
     if not np.isfinite(net._grads).all():
         raise RuntimeError("non-finite gradient; value network update aborted")
     net.params -= learning_rate * net._grads
@@ -357,34 +378,38 @@ def train(scenario: ScenarioConfig, config: DqnConfig = DqnConfig()) -> tuple[Ml
 
     net = Mlp((env.state_size, *config.hidden_sizes, env.n_actions), init_rng)
     net.target[:] = net.params
-    buffer = ReplayBuffer(config.buffer_capacity, env.state_size)
+    buffer = ReplayBuffer(config.buffer_capacity)
+    values = np.full(64, np.nan)  # mlp_update's target max-Q per env state; doubles when full
 
     epsilon = config.epsilon_start
     history: list[EpisodeRecord] = []
     step_count = 0
     for episode in range(1, config.episodes + 1):
         state = env.initial_state()
-        vec = env.state_vector(state)
+        index = env.state_index(state)
         reward_sum = 0.0
         for step in range(1, config.steps_per_episode + 1):
             if explore_rng.random() < epsilon:
                 action_index = int(explore_rng.integers(env.n_actions))
             else:
-                action_index = greedy_action(net, vec)
+                action_index = greedy_action(net, env.state_vector(state))
             state, r = env.step(state, env.actions[action_index])
-            prev, vec = vec, env.state_vector(state)
-            buffer.push(prev, action_index, r, vec)
+            prev, index = index, env.state_index(state)
+            if index == len(values):
+                values = np.concatenate([values, np.full_like(values, np.nan)])
+            buffer.push(prev, action_index, r, index)
             reward_sum += r
             step_count += 1
             if len(buffer) >= config.batch_size:
                 batch = buffer.sample(config.batch_size, replay_rng)
                 try:
-                    mlp_update(net, batch, config.discount, config.learning_rate)
+                    mlp_update(net, batch, env.inputs, values, config.discount, config.learning_rate)
                 except RuntimeError as exc:
                     raise RuntimeError(f"{exc} at episode {episode}, step {step}; the batch's rewards "
                                        f"run from {batch[2].min():.6g} to {batch[2].max():.6g}") from exc
             if step_count % config.target_sync == 0:
                 net.target[:] = net.params
+                values[:] = np.nan
         history.append(
             EpisodeRecord(
                 episode=episode,
@@ -419,14 +444,19 @@ class PolicyEvaluation:
 
 
 def evaluate_policy(net: Mlp, env: ContestEnv, steps: int = 100) -> PolicyEvaluation:
-    """Roll the greedy policy forward and report final and best-visited states."""
+    """Roll the greedy policy forward and report final and best-visited states.  The rollout is
+    deterministic, so it stops at its first repeated state: from there it goes round a cycle."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     state = env.initial_state()
     best_state = state
-    for _ in range(steps):
+    visited = {state: 0}  # each state's first step, in step order
+    for step in range(1, steps + 1):
         action_index = greedy_action(net, env.state_vector(state))
         state, _ = env.step(state, env.actions[action_index])
+        first = visited.setdefault(state, step)
+        if first < step:
+            return PolicyEvaluation(list(visited)[first + (steps - first) % (step - first)], best_state)
         # Strictly lower, so the earliest-visited state wins a tie.
         if state.feasible and state.total_loss < best_state.total_loss:
             best_state = state

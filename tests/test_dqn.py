@@ -230,9 +230,34 @@ class TestEnv:
         assert vec.shape == (6,)
         assert np.allclose(vec[:3], 1.0 / 3.0)
         assert np.array_equal(vec[3:], np.asarray(state.efforts) / 6.0)
-        # Computed once per state and shared, so no caller may write to it.
-        assert env.state_vector(env.step(state, (0, 0, 0))[0]) is vec
-        assert not vec.flags.writeable
+        # Computed once per state, as its row of the shared input table, so no caller may write to it.
+        same = env.step(state, (0, 0, 0))[0]
+        assert env.state_index(same) == env.state_index(state) == 0
+        assert env.state_vector(same).tobytes() == vec.tobytes() == env.inputs[0].tobytes()
+        assert np.shares_memory(vec, env.inputs)
+        assert not vec.flags.writeable and not env.inputs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = 0.0
+
+    def test_input_table_keeps_first_seen_order(self, default_scenario):
+        # A walk long enough to grow the table past its first 64 rows: each new state takes the
+        # next index, its row is its prizes over the pool and its rates over the native rates,
+        # bit for bit, and a row handed out before the table grew keeps its values.
+        env = ContestEnv(default_scenario)
+        state = env.initial_state()
+        first = env.state_vector(state)
+        order = [state]
+        for index in np.random.default_rng(5).integers(env.n_actions, size=400).tolist():
+            state, _ = env.step(state, env.actions[index])
+            if state not in order:
+                order.append(state)
+            assert env.state_index(state) == order.index(state)
+        assert len(env.inputs) == len(order) > 64
+        for row, state in zip(env.inputs, order):
+            prizes = np.asarray(state.prizes, dtype=np.float64) / env.pool
+            rates = np.array([c.native_rate for c in default_scenario.contestants], dtype=np.float64)
+            assert row.tobytes() == np.concatenate([prizes, np.asarray(state.efforts) / rates]).tobytes()
+        assert first.tobytes() == env.inputs[0].tobytes() and not first.flags.writeable
 
     def test_total_loss_and_feasibility(self, tiny_scenario):
         env = ContestEnv(tiny_scenario)
@@ -357,12 +382,12 @@ class TestMlp:
 
 # The list-of-tuples replay store the column buffer replaced, kept verbatim as
 # the reference its samples must equal: Transition, the buffer (renamed), and
-# the stacking that opened mlp_update.
+# the stacking that opened mlp_update.  Its states are now indices.
 class Transition(NamedTuple):
-    state: np.ndarray
+    state: int
     action: int
     reward: float
-    next_state: np.ndarray
+    next_state: int
 
 
 class ListReplayBuffer:
@@ -394,87 +419,75 @@ class ListReplayBuffer:
 
 
 def stack_batch(batch: list[Transition]) -> tuple[np.ndarray, ...]:
-    states = np.stack([t.state for t in batch])
+    states = np.array([t.state for t in batch], dtype=np.intp)
     actions = np.array([t.action for t in batch], dtype=np.intp)
     rewards = np.array([t.reward for t in batch], dtype=np.float64)
-    next_states = np.stack([t.next_state for t in batch])
+    next_states = np.array([t.next_state for t in batch], dtype=np.intp)
     return states, actions, rewards, next_states
 
 
 def tagged_row(tag):
     """A row whose every field reads tag, so a sample shows which rows it took."""
-    return np.array([float(tag), -float(tag)]), tag, float(tag), np.array([float(tag), 0.5])
+    return tag, tag, float(tag), 100 + tag
 
 
 class TestReplayBuffer:
     def test_push_and_len(self):
-        buf = ReplayBuffer(4, 2)
+        buf = ReplayBuffer(4)
         assert len(buf) == 0
         buf.push(*tagged_row(0))
         assert len(buf) == 1
 
     def test_columns_allocated_up_front(self):
-        buf = ReplayBuffer(5, 3)
-        first = buf.pairs, buf.actions, buf.rewards
-        assert [c.shape for c in first] == [(2, 5, 3), (5,), (5,)]
-        assert [c.dtype for c in first] == [np.float64, np.intp, np.float64]
-        assert buf.pairs.flags.c_contiguous
-        buf.push(np.zeros(3), 1, 0.5, np.ones(3))
-        buf.push(np.ones(3), 2, 1.5, np.zeros(3))
-        assert all(a is b for a, b in zip(first, (buf.pairs, buf.actions, buf.rewards)))
+        buf = ReplayBuffer(5)
+        first = buf.states, buf.actions, buf.rewards, buf.next_states
+        assert [c.shape for c in first] == [(5,)] * 4
+        assert [c.dtype for c in first] == [np.intp, np.intp, np.float64, np.intp]
+        buf.push(0, 1, 0.5, 1)
+        buf.push(1, 2, 1.5, 0)
+        assert all(a is b for a, b in zip(first, (buf.states, buf.actions, buf.rewards, buf.next_states)))
 
     def test_overwrites_oldest_when_full(self):
-        buf = ReplayBuffer(3, 2)
+        buf = ReplayBuffer(3)
         for tag in range(5):
             buf.push(*tagged_row(tag))
         assert len(buf) == 3
-        (states, next_states), actions, rewards = buf.pairs, buf.actions, buf.rewards
         # Rows 0 and 1 held tags 0 and 1, which tags 3 and 4 overwrote.
-        assert actions.tolist() == [3, 4, 2]
-        assert np.array_equal(states[:, 0], actions) and np.array_equal(rewards, actions)
-        assert np.array_equal(next_states[:, 0], actions)
+        assert buf.actions.tolist() == [3, 4, 2]
+        assert np.array_equal(buf.states, buf.actions) and np.array_equal(buf.rewards, buf.actions)
+        assert np.array_equal(buf.next_states, buf.actions + 100)
 
     def test_sample_without_replacement(self):
-        buf = ReplayBuffer(8, 2)
+        buf = ReplayBuffer(8)
         for tag in range(8):
             buf.push(*tagged_row(tag))
-        (states, next_states), actions, rewards = buf.sample(8, np.random.default_rng(0))
+        states, actions, rewards, next_states = buf.sample(8, np.random.default_rng(0))
         assert sorted(actions.tolist()) == list(range(8))
         # Each sampled row keeps its four fields together.
-        assert np.array_equal(states, np.stack([tagged_row(a)[0] for a in actions]))
-        assert np.array_equal(rewards, actions) and np.array_equal(next_states[:, 0], actions)
-
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_sample_is_one_c_contiguous_pair(self, width):
-        # The learner's stacked input: a C-contiguous (2, batch, features) array.  A strided
-        # view of the same values changes the gradient bits of some nets with a width-1 layer.
-        buf = ReplayBuffer(10, width)
-        for tag in range(10):
-            buf.push(np.full(width, float(tag)), tag, float(tag), np.full(width, -float(tag)))
-        pairs, actions, rewards = buf.sample(4, np.random.default_rng(1))
-        assert pairs.shape == (2, 4, width) and pairs.flags.c_contiguous
-        assert np.array_equal(pairs[0, :, 0], actions) and np.array_equal(pairs[1, :, 0], -rewards)
+        assert np.array_equal(states, actions) and np.array_equal(rewards, actions)
+        assert np.array_equal(next_states, actions + 100)
 
     def test_sample_too_large(self):
-        buf = ReplayBuffer(4, 2)
+        buf = ReplayBuffer(4)
         buf.push(*tagged_row(0))
         with pytest.raises(ValueError, match="cannot sample 2 from 1 stored"):
             buf.sample(2, np.random.default_rng(0))
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(0, 2)
+            ReplayBuffer(0)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(st.integers(1, 20), st.integers(0, 60), st.data())
     def test_sample_matches_list_buffer(self, capacity, pushes, data):
         seed = data.draw(st.integers(0, 2**32 - 1))
-        width = data.draw(st.integers(1, 4))
-        rows = np.random.default_rng(seed).normal(size=(pushes, 2 * width + 1))
+        states = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(seed)
+        rewards = rng.normal(size=pushes).tolist()
+        ids = rng.integers(states, size=(pushes, 2)).tolist()
         actions = np.random.default_rng(seed + 1).integers(0, 19, size=pushes).tolist()
-        columns, reference = ReplayBuffer(capacity, width), ListReplayBuffer(capacity)
-        for row, action in zip(rows, actions):
-            state, reward, next_state = row[:width], float(row[width]), row[width + 1:]
+        columns, reference = ReplayBuffer(capacity), ListReplayBuffer(capacity)
+        for (state, next_state), action, reward in zip(ids, actions, rewards):
             columns.push(state, action, reward, next_state)
             reference.push(Transition(state, action, reward, next_state))
         assert len(columns) == len(reference) == min(pushes, capacity)
@@ -483,21 +496,50 @@ class TestReplayBuffer:
         got = columns.sample(batch, rng_columns)
         expected = reference.sample(batch, rng_reference)
         assert rng_columns.bit_generator.state == rng_reference.bit_generator.state
-        pairs, actions, rewards = got
-        if batch == 0:
-            # The reference stacking cannot stack an empty batch; training never samples one.
-            assert expected == [] and pairs.shape == (2, 0, width) and len(actions) == len(rewards) == 0
-            return
-        for a, b in zip((pairs[0], actions, rewards, pairs[1]), stack_batch(expected), strict=True):
-            assert a.dtype == b.dtype and a.shape == b.shape
+        for a, b in zip(got, stack_batch(expected), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape == (batch,)
             assert np.array_equal(a, b)
         with pytest.raises(ValueError, match="cannot sample"):
             columns.sample(len(reference) + 1, rng_columns)
 
 
-def pair_batch(states, actions, rewards, next_states):
-    """A (states, actions, rewards, next states) batch as ReplayBuffer.sample gives it."""
-    return np.stack([states, next_states]), actions, rewards
+def table_batch(states, actions, rewards, next_states):
+    """A (states, actions, rewards, next states) batch of feature rows as mlp_update takes it:
+    the batch over row indices, an input table of every row, and a value table of NaNs."""
+    inputs = np.concatenate([states, next_states])
+    ids = np.arange(len(inputs))
+    return (ids[:len(states)], actions, rewards, ids[len(states):]), inputs, np.full(len(inputs), np.nan)
+
+
+def batch_pass_update(net, batch, inputs, discount, learning_rate):
+    """The update without a value table, as the reference the table must equal: one stacked
+    pass over the batch's own states and next states, targets from its target rows."""
+    states, actions, rewards, next_states = batch
+    acts = net._activations(inputs.take(np.array((states, next_states)), axis=0))
+    targets = rewards + discount * acts[-1][1].max(axis=1)
+    loss = net._backprop([a[0] for a in acts], actions, targets)
+    if not np.isfinite(net._grads).all():
+        raise RuntimeError("non-finite gradient; value network update aborted")
+    net.params -= learning_rate * net._grads
+    return loss
+
+
+class StackedPasses:
+    """Counts Mlp._activations calls on a (2, batch, features) pair and keeps their inputs."""
+
+    def __init__(self, monkeypatch):
+        self.inputs = []
+        activations = Mlp._activations
+
+        def spy(net, x):
+            if np.ndim(x) == 3:
+                self.inputs.append(np.array(x))
+            return activations(net, x)
+
+        monkeypatch.setattr(Mlp, "_activations", spy)
+
+    def __len__(self):
+        return len(self.inputs)
 
 
 class TestUpdate:
@@ -518,7 +560,7 @@ class TestUpdate:
         expected_targets = rewards + 0.9 * target.forward(next_states).max(axis=1)
         expected_loss = net.gradients(states, actions, expected_targets)[2]
 
-        loss = mlp_update(net, pair_batch(*batch), discount=0.9, learning_rate=1e-3)
+        loss = mlp_update(net, *table_batch(*batch), discount=0.9, learning_rate=1e-3)
         assert loss == pytest.approx(expected_loss)
 
     def test_update_moves_parameters(self):
@@ -526,7 +568,7 @@ class TestUpdate:
         net = Mlp((3, 6, 2), rng)
         net.target[:] = net.params
         before = [w.copy() for w in net.weights]
-        mlp_update(net, pair_batch(*self.make_batch(rng)), 0.9, 0.1)
+        mlp_update(net, *table_batch(*self.make_batch(rng)), 0.9, 0.1)
         assert any(not np.array_equal(b, w) for b, w in zip(before, net.weights))
 
     def test_online_steps_leave_the_target_row(self):
@@ -535,7 +577,7 @@ class TestUpdate:
         net.target[:] = net.params
         synced = net.target.copy()
         for _ in range(3):
-            mlp_update(net, pair_batch(*self.make_batch(rng)), 0.9, 0.1)
+            mlp_update(net, *table_batch(*self.make_batch(rng)), 0.9, 0.1)
         assert net.target.tobytes() == synced.tobytes()
         assert not np.array_equal(net.params, synced)
 
@@ -547,8 +589,90 @@ class TestUpdate:
         batch[2][0] = math.inf
         before = [w.copy() for w in net.weights]
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite gradient"):
-            mlp_update(net, pair_batch(*batch), 0.9, 0.1)
+            mlp_update(net, *table_batch(*batch), 0.9, 0.1)
         assert all(np.array_equal(b, w) for b, w in zip(before, net.weights))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_stacked_input_is_one_c_contiguous_pair(self, width, monkeypatch):
+        # The learner's stacked input: a C-contiguous (2, batch, features) array gathered from the
+        # input table.  A strided view of the same values changes the gradient bits of some nets
+        # with a width-1 layer.
+        passes = StackedPasses(monkeypatch)
+        inputs = np.arange(10.0 * width).reshape(10, width)
+        net = Mlp((width, 4, 2), np.random.default_rng(1))
+        states, next_states = np.array([0, 2, 4, 6]), np.array([1, 3, 5, 7])
+        mlp_update(net, (states, np.zeros(4, np.intp), np.zeros(4), next_states), inputs, np.full(10, np.nan), 0.9, 0.1)
+        (pair,) = passes.inputs
+        assert pair.shape == (2, 4, width) and pair.flags.c_contiguous
+        assert np.array_equal(pair[0], inputs[states]) and np.array_equal(pair[1], inputs[next_states])
+
+    def test_values_hold_until_a_sync(self, monkeypatch):
+        # A next state without a value costs one stacked pass; one valued since the last sync
+        # costs none and keeps its bits; a sync makes every state cost a pass again.
+        passes = StackedPasses(monkeypatch)
+        rng = np.random.default_rng(12)
+        net = Mlp((3, 8, 4), rng)
+        net.target[:] = net.params
+        inputs, values = rng.normal(size=(4, 3)), np.full(6, np.nan)
+        batch = (np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]), np.ones(4), np.array([0, 1, 2, 3]))
+        mlp_update(net, batch, inputs, values, 0.9, 0.1)
+        assert len(passes) == 1 and not np.isnan(values[:4]).any() and np.isnan(values[4:]).all()
+        valued = values.copy()
+        for _ in range(3):
+            mlp_update(net, batch, inputs, values, 0.9, 0.1)
+        assert len(passes) == 1 and values.tobytes() == valued.tobytes()
+        net.target[:] = net.params
+        values[:] = np.nan
+        mlp_update(net, batch, inputs, values, 0.9, 0.1)
+        assert len(passes) == 2 and not np.isnan(values[:4]).any()
+        assert not np.array_equal(values[:4], valued[:4])
+        expected = Mlp(net.layer_sizes)
+        expected.params[:] = net.target
+        assert np.allclose(values[:4], expected.forward(inputs).max(axis=1), rtol=1e-12, atol=0.0)
+
+    def test_a_state_seen_after_a_pass_gets_its_own_value(self):
+        # States 0 and 1 are valued; then states 2 and 3 are first seen, still in the same sync.
+        # Next state 3 has no value, so a pass runs, and in the row of valued next state 0 it
+        # values state 2, the lowest unvalued state out of the batch: each from its own row.
+        rng = np.random.default_rng(13)
+        net = Mlp((3, 8, 4), rng)
+        net.target[:] = net.params
+        table, values = rng.normal(size=(6, 3)), np.full(8, np.nan)
+        first = (np.array([0, 1]), np.array([0, 1]), np.ones(2), np.array([0, 1]))
+        mlp_update(net, first, table[:2], values, 0.9, 0.0)
+        valued = values[:2].copy()
+        second = (np.array([2, 1]), np.array([0, 1]), np.ones(2), np.array([0, 3]))
+        mlp_update(net, second, table[:4], values, 0.9, 0.0)
+        assert values[:2].tobytes() == valued.tobytes()
+        expected = Mlp(net.layer_sizes)
+        expected.params[:] = net.target
+        assert np.allclose(values[:4], expected.forward(table[:4]).max(axis=1), rtol=1e-12, atol=0.0)
+        assert np.isnan(values[4:]).all()  # never seen, so never valued
+
+    def test_table_targets_match_the_batch_pass_at_batch_64(self):
+        # The SMALL instance's net at its batch size: transitions over 150 states, a 200-row
+        # buffer that wraps, a sync every 50 pushes.  Every update's loss and parameter bytes
+        # must equal the update whose targets come from the batch's own stacked pass.
+        rng = np.random.default_rng(14)
+        inputs = rng.random((150, 6))
+        net = Mlp((6, 64, 64, 7), rng)
+        net.target[:] = net.params
+        reference = Mlp(net.layer_sizes)
+        reference.params[:] = reference.target[:] = net.params
+        buffer, values = ReplayBuffer(200), np.full(150, np.nan)
+        replay_net, replay_reference = np.random.default_rng(15), np.random.default_rng(15)
+        for push in range(1, 601):
+            buffer.push(int(rng.integers(150)), int(rng.integers(7)), float(rng.random()), int(rng.integers(150)))
+            if len(buffer) >= 64:
+                batch = buffer.sample(64, replay_net)
+                assert mlp_update(net, batch, inputs, values, 0.9, 1e-3) == batch_pass_update(
+                    reference, buffer.sample(64, replay_reference), inputs, 0.9, 1e-3)
+                assert net.params.tobytes() == reference.params.tobytes()
+            if push % 50 == 0:
+                net.target[:] = net.params
+                reference.target[:] = reference.params
+                values[:] = np.nan
+        assert buffer.pushes > 2 * buffer.capacity
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(
@@ -561,25 +685,33 @@ class TestUpdate:
     )
     def test_updates_match_list_reference_bit_for_bit(self, hidden, n_in, n_out, batch, lr, seed):
         # Four consecutive updates with a target sync after the second, then one
-        # batch with a non-finite reward: every parameter byte, the loss and the
-        # abort must match the reference update over separate weight and bias lists.
+        # batch with a non-finite reward: every parameter byte, every value, the loss
+        # and the abort must match the reference update over separate weight and bias
+        # lists, which keeps its values in a dict.  The batches draw their states from
+        # an input table that grows between updates, so next states repeat, are valued
+        # by earlier updates, and are swapped for states out of the batch.
         rng = np.random.default_rng(seed)
         net = Mlp((n_in, *hidden, n_out), rng)
         net.target[:] = net.params
         params = [[w.copy() for w in net.weights], [b.copy() for b in net.biases]]
         target_params = [[a.copy() for a in arrays] for arrays in params]
+        table = rng.normal(size=(int(rng.integers(1, 3 * batch + 1)), n_in))
+        table[rng.random(len(table)) < 0.25] = 0.0  # rows whose pre-activations are exactly the bias
+        values, reference_values = np.full(len(table), np.nan), {}
         for update in range(5):
-            states, actions, rewards, next_states = self.make_batch(rng, batch, n_in, n_out)
-            states[rng.random(batch) < 0.25] = 0.0  # rows whose pre-activations are exactly the bias
+            inputs = table[:max(1, len(table) * (update + 1) // 5)]
+            states, next_states = rng.integers(len(inputs), size=(2, batch))
+            actions, rewards = rng.integers(n_out, size=batch), rng.normal(size=batch)
             if update == 4:
                 rewards[rng.integers(batch)] = rng.choice([math.inf, -math.inf, math.nan])
-            expected = reference_update(params, target_params, (states, actions, rewards, next_states), 0.9, lr)
+            sample = (states, actions, rewards, next_states)
+            expected = reference_update(params, target_params, reference_values, sample, inputs, 0.9, lr)
             with np.errstate(all="ignore"):
                 if expected is None:
                     with pytest.raises(RuntimeError, match="non-finite gradient"):
-                        mlp_update(net, pair_batch(states, actions, rewards, next_states), 0.9, lr)
+                        mlp_update(net, sample, inputs, values, 0.9, lr)
                 else:
-                    loss = mlp_update(net, pair_batch(states, actions, rewards, next_states), 0.9, lr)
+                    loss = mlp_update(net, sample, inputs, values, 0.9, lr)
                     params, expected_loss = expected
                     assert loss == expected_loss
             assert [w.tobytes() for w in net.weights] == [w.tobytes() for w in params[0]]
@@ -589,16 +721,24 @@ class TestUpdate:
             assert save_policy(net)[header:] == b"".join(layers)
             target_layers = [w.tobytes() + b.tobytes() for w, b in zip(*target_params)]
             assert net.target.tobytes() == b"".join(target_layers)
+            assert sorted(reference_values) == np.flatnonzero(~np.isnan(values)).tolist()
+            assert all(values[i].tobytes() == v.tobytes() for i, v in reference_values.items())
             if update == 1:
                 net.target[:] = net.params
+                values[:] = np.nan
                 target_params = [[a.copy() for a in arrays] for arrays in params]
+                reference_values = {}
         assert expected is None  # the last batch's non-finite reward reached the gradients
 
 
-def reference_update(params, target_params, batch, discount, lr):
+def reference_update(params, target_params, values, batch, inputs, discount, lr):
     """One SGD step on a value net held as [weights, biases] lists, written out
     op by op: the new lists and the pre-step loss, or None if a gradient is not
-    finite (the step then changes nothing)."""
+    finite (the step then changes nothing).  values maps a state to its target
+    max-Q since the last sync; when a next state has none, the target net runs on
+    the next states with each valued one swapped, in batch order, for the
+    lowest-indexed unvalued state out of the batch while any is left, and every
+    state it ran without a value gets one."""
 
     def forward(weights, biases, x):
         acts = [x]
@@ -608,8 +748,16 @@ def reference_update(params, target_params, batch, discount, lr):
 
     states, actions, rewards, next_states = batch
     with np.errstate(all="ignore"):
-        targets = rewards + discount * forward(*target_params, next_states)[1].max(axis=1)
-        acts, out = forward(*params, states)
+        if any(s not in values for s in next_states.tolist()):
+            spare = [s for s in range(len(inputs)) if s not in values and s not in next_states.tolist()]
+            rows = [s if s not in values or not spare else spare.pop(0) for s in next_states.tolist()]
+            maxima = forward(*target_params, inputs[rows])[1].max(axis=1)
+            unvalued = [s not in values for s in rows]
+            for s, q, new in zip(rows, maxima, unvalued):
+                if new:
+                    values[s] = q
+        targets = rewards + discount * np.array([values[s] for s in next_states.tolist()])
+        acts, out = forward(*params, inputs[states])
         rows = np.arange(len(states))
         err = out[rows, actions] - targets
         loss = float(np.mean(err**2))
@@ -692,6 +840,31 @@ class TestTraining:
         assert net.target.tobytes() == initial.params.tobytes()
         assert not np.array_equal(net.params, initial.params)
 
+    @pytest.mark.parametrize(
+        "changes", [dict(target_sync=1), dict(batch_size=1), dict(batch_size=3), dict(batch_size=6)]
+    )
+    def test_deterministic_at_any_sync_and_batch(self, tiny_scenario, tiny_cfg, changes):
+        cfg = replace(tiny_cfg.dqn, **changes)
+        (net_a, hist_a), (net_b, hist_b) = train(tiny_scenario, cfg), train(tiny_scenario, cfg)
+        assert hist_a == hist_b
+        assert net_a.params.tobytes() == net_b.params.tobytes() and net_a.target.tobytes() == net_b.target.tobytes()
+
+    def test_states_are_valued_once_per_sync(self, tiny_scenario, tiny_cfg, monkeypatch):
+        # 12 steps at batch 4 make 9 updates.  A sync after every step leaves every next state
+        # without a value, so each update runs one stacked pass.  With no sync, a pass runs only
+        # for a next state no earlier pass valued.
+        passes = StackedPasses(monkeypatch)
+        train(tiny_scenario, replace(tiny_cfg.dqn, target_sync=1))
+        assert len(passes) == 9
+        passes.inputs.clear()
+        train(tiny_scenario, replace(tiny_cfg.dqn, target_sync=13))
+        valued = set()
+        for pair in passes.inputs:
+            rows = {row.tobytes() for row in pair[1]}
+            assert rows - valued
+            valued |= rows
+        assert 0 < len(passes) < 9
+
     def test_seed_changes_the_run(self, tiny_scenario, tiny_cfg):
         _, hist_a = train(tiny_scenario, tiny_cfg.dqn)
         _, hist_b = train(tiny_scenario, replace(tiny_cfg.dqn, seed=99))
@@ -727,11 +900,48 @@ class TestTraining:
         assert ev.final_total_loss < ev.best_total_loss
         assert ev.best_state == env.initial_state()
 
+    def test_early_stop_matches_the_full_rollout(self, tiny_scenario, tiny_cfg, monkeypatch):
+        # The rollout stops at its first repeated state; (final, best) must be the full loop's,
+        # for trained and random nets, whose rollouts enter cycles of several lengths at several
+        # steps.
+        env = ContestEnv(tiny_scenario)
+        nets = [train(tiny_scenario, replace(tiny_cfg.dqn, seed=seed))[0] for seed in range(3)]
+        nets += [Mlp((env.state_size, 4, env.n_actions), np.random.default_rng(seed)) for seed in range(30)]
+        cycles = set()
+        for net in nets:
+            for steps in (0, 1, 2, 7, 100, 1001):
+                assert evaluate_policy(net, env, steps) == full_rollout(net, env, steps)
+            visited = [env.initial_state()]
+            while visited[-1] not in visited[:-1]:
+                index = greedy_action(net, env.state_vector(visited[-1]))
+                visited.append(env.step(visited[-1], env.actions[index])[0])
+            first = visited.index(visited[-1])
+            cycles.add((first, len(visited) - 1 - first))
+        firsts, periods = {first for first, _ in cycles}, {period for _, period in cycles}
+        assert 0 in firsts and max(firsts) > 1 and 1 in periods and max(periods) > 1, cycles
+        calls = []
+        step = ContestEnv.step
+        monkeypatch.setattr(ContestEnv, "step", lambda *args: calls.append(1) or step(*args))
+        evaluate_policy(nets[0], env, 1001)
+        assert len(calls) < 1001
+
     def test_evaluation_losses_come_from_its_rounds(self):
         final = Round((4.0, 4.0, 4.0), (1, 1, 1), 2.0, True)
         best = Round((6.0, 3.0, 3.0), (2, 1, 1), 1.0, True)
         ev = PolicyEvaluation(final, best)
         assert (ev.final_total_loss, ev.best_total_loss) == (2.0, 1.0)
+
+
+def full_rollout(net, env, steps):
+    """evaluate_policy before it stopped at a repeated state: every step of the rollout."""
+    state = env.initial_state()
+    best_state = state
+    for _ in range(steps):
+        action_index = greedy_action(net, env.state_vector(state))
+        state, _ = env.step(state, env.actions[action_index])
+        if state.feasible and state.total_loss < best_state.total_loss:
+            best_state = state
+    return PolicyEvaluation(state, best_state)
 
 
 class TestPersistence:
