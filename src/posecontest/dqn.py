@@ -84,7 +84,7 @@ class ContestEnv:
         self.actions = enumerate_actions(scenario.n_contestants)
         self.pool = scenario.awards.pool
         rates = [c.native_rate for c in scenario.contestants]
-        self._scale = np.array([self.pool] * len(rates) + rates)  # a network input: prizes / pool, rates / rate
+        self._scale = np.array([self.pool] * len(rates) + rates)  # what a state's prizes and rates divide by
         self.responses = BestResponse(scenario.contestants, scenario.selection_mode)
         self._row = np.arange(scenario.n_contestants)[None]  # one prize vector's index into its prizes
         # A loss at or under CAPABILITY_FLOOR is rounding (an aliased clip loses ~1e-15), not
@@ -294,7 +294,7 @@ def mlp_update(net: Mlp, batch: tuple[np.ndarray, ...], inputs: np.ndarray, valu
             spare[next_states] = False
             spare = spare.nonzero()[0][:len(held)]
             held = held[:len(spare)]
-            rows[held], stale[held] = spare, True
+            rows[held], stale[held] = spare, True  # stale: the rows whose state gets a value
         acts = net._activations(inputs.take(np.array((states, rows)), axis=0))
         values[rows[stale]] = acts[-1][1].max(axis=1)[stale]
         acts = [a[0] for a in acts]
