@@ -162,9 +162,7 @@ class Mlp:
         pair = np.zeros((2, sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))))
         self.params, self.target = pair
         self.weights, self.biases = self._layers(self.params)
-        # Per layer, both nets' weights (2, fan_in, fan_out) and biases (2, 1, fan_out).
-        weights, biases = self._layers(pair)
-        self._pair_layers = tuple(zip(weights, (b[:, None] for b in biases)))
+        self._target_layers = tuple(zip(*self._layers(self.target)))
         self._grads = np.empty_like(self.params)  # _backprop writes here, laid out as params
         self._grad_layers = self._layers(self._grads)
         self._rows = np.arange(0)  # the row index of the last batch size backprop saw
@@ -173,25 +171,22 @@ class Mlp:
                 w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
 
     def _layers(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        # (weights, biases) views of an array laid out as params, or of a stack of such rows.
-        weights, biases, offset, lead = [], [], 0, flat.shape[:-1]
+        # (weights, biases) views of an array laid out as params.
+        weights, biases, offset = [], [], 0
         for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            weights.append(flat[..., offset:offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
+            weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
             offset += fan_in * fan_out
-            biases.append(flat[..., offset:offset + fan_out])
+            biases.append(flat[offset:offset + fan_out])
             offset += fan_out
         return tuple(weights), tuple(biases)
 
-    def _activations(self, x: np.ndarray) -> list[np.ndarray]:
-        # The one forward pass: the input, each ReLU layer, the output.  A (batch, features)
-        # input goes through the online net; a (2, batch, features) pair goes through the
-        # online net (row 0) and the target net (row 1) at once, as batched matmuls.
-        # Each layer adds its bias and clips in place on its own fresh product.
+    def _activations(self, x: np.ndarray, target: bool = False) -> list[np.ndarray]:
+        # The one forward pass, of the online net or, if target, the target net: the input, each
+        # ReLU layer, the output.  Each layer adds its bias and clips in place on its fresh product.
         acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
         if acts[0].shape[-1] != self.layer_sizes[0]:
             raise ValueError(f"expected {self.layer_sizes[0]} input features, got {acts[0].shape[-1]}")
-        layers = self._pair_layers if acts[0].ndim == 3 else zip(self.weights, self.biases)
-        for w, b in layers:
+        for w, b in self._target_layers if target else zip(self.weights, self.biases):
             if len(acts) > 1:  # the layer below is hidden, and not the caller's input
                 np.maximum(acts[-1], 0.0, out=acts[-1])
             acts.append(acts[-1] @ w)
@@ -282,9 +277,9 @@ def mlp_update(net: Mlp, batch: tuple[np.ndarray, ...], inputs: np.ndarray, valu
 
     batch is ReplayBuffer.sample's (states, actions, rewards, next states), states being rows of
     inputs.  values[i] is the target net's max-Q of inputs[i], NaN until valued after a sync.  A next
-    state without one costs one pass of both nets, whose target rows value it and, in place of valued
-    next states, the lowest-indexed unvalued states out of the batch.  Returns the pre-step loss.
-    Raises RuntimeError if any gradient is non-finite; the step is aborted in that case."""
+    state without one costs one pass of the target net over batch-many rows, which values it and, in
+    place of valued next states, the lowest-indexed unvalued states out of the batch.  Returns the
+    pre-step loss.  Raises RuntimeError if any gradient is non-finite; the step is aborted in that case."""
     states, actions, rewards, next_states = batch
     stale = np.isnan(values[next_states])
     if stale.any():
@@ -295,11 +290,8 @@ def mlp_update(net: Mlp, batch: tuple[np.ndarray, ...], inputs: np.ndarray, valu
             spare = spare.nonzero()[0][:len(held)]
             held = held[:len(spare)]
             rows[held], stale[held] = spare, True  # stale: the rows whose state gets a value
-        acts = net._activations(inputs.take(np.array((states, rows)), axis=0))
-        values[rows[stale]] = acts[-1][1].max(axis=1)[stale]
-        acts = [a[0] for a in acts]
-    else:
-        acts = net._activations(inputs.take(states, axis=0))
+        values[rows[stale]] = net._activations(inputs.take(rows, axis=0), target=True)[-1].max(axis=1)[stale]
+    acts = net._activations(inputs.take(states, axis=0))
     loss = net._backprop(acts, actions, rewards + discount * values[next_states])
     if not np.isfinite(net._grads).all():
         raise RuntimeError("non-finite gradient; value network update aborted")

@@ -512,29 +512,28 @@ def table_batch(states, actions, rewards, next_states):
 
 
 def batch_pass_update(net, batch, inputs, discount, learning_rate):
-    """The update without a value table, as the reference the table must equal: one stacked
-    pass over the batch's own states and next states, targets from its target rows."""
+    """The update without a value table, as the reference the table must equal: one target
+    pass over the batch's own next states for the targets, then the online pass."""
     states, actions, rewards, next_states = batch
-    acts = net._activations(inputs.take(np.array((states, next_states)), axis=0))
-    targets = rewards + discount * acts[-1][1].max(axis=1)
-    loss = net._backprop([a[0] for a in acts], actions, targets)
+    maxima = net._activations(inputs.take(next_states, axis=0), target=True)[-1].max(axis=1)
+    loss = net._backprop(net._activations(inputs.take(states, axis=0)), actions, rewards + discount * maxima)
     if not np.isfinite(net._grads).all():
         raise RuntimeError("non-finite gradient; value network update aborted")
     net.params -= learning_rate * net._grads
     return loss
 
 
-class StackedPasses:
-    """Counts Mlp._activations calls on a (2, batch, features) pair and keeps their inputs."""
+class TargetPasses:
+    """Counts Mlp._activations calls on the target net and keeps their inputs as passed, in
+    inputs; the online net's go in online."""
 
     def __init__(self, monkeypatch):
-        self.inputs = []
+        self.inputs, self.online = [], []
         activations = Mlp._activations
 
-        def spy(net, x):
-            if np.ndim(x) == 3:
-                self.inputs.append(np.array(x))
-            return activations(net, x)
+        def spy(net, x, target=False):
+            (self.inputs if target else self.online).append(x)
+            return activations(net, x, target)
 
         monkeypatch.setattr(Mlp, "_activations", spy)
 
@@ -593,23 +592,24 @@ class TestUpdate:
         assert all(np.array_equal(b, w) for b, w in zip(before, net.weights))
 
     @pytest.mark.parametrize("width", [1, 3])
-    def test_stacked_input_is_one_c_contiguous_pair(self, width, monkeypatch):
-        # The learner's stacked input: a C-contiguous (2, batch, features) array gathered from the
-        # input table.  A strided view of the same values changes the gradient bits of some nets
-        # with a width-1 layer.
-        passes = StackedPasses(monkeypatch)
+    def test_each_pass_gathers_c_contiguous_rows(self, width, monkeypatch):
+        # Each of the learner's passes takes a C-contiguous (batch, features) array gathered from
+        # the input table.  A strided view of the same values changes the gradient bits of some
+        # nets with a width-1 layer.
+        passes = TargetPasses(monkeypatch)
         inputs = np.arange(10.0 * width).reshape(10, width)
         net = Mlp((width, 4, 2), np.random.default_rng(1))
         states, next_states = np.array([0, 2, 4, 6]), np.array([1, 3, 5, 7])
         mlp_update(net, (states, np.zeros(4, np.intp), np.zeros(4), next_states), inputs, np.full(10, np.nan), 0.9, 0.1)
-        (pair,) = passes.inputs
-        assert pair.shape == (2, 4, width) and pair.flags.c_contiguous
-        assert np.array_equal(pair[0], inputs[states]) and np.array_equal(pair[1], inputs[next_states])
+        (online,), (target,) = passes.online, passes.inputs
+        for gathered, rows in ((online, states), (target, next_states)):
+            assert gathered.shape == (4, width) and gathered.flags.c_contiguous
+            assert np.array_equal(gathered, inputs[rows])
 
     def test_values_hold_until_a_sync(self, monkeypatch):
-        # A next state without a value costs one stacked pass; one valued since the last sync
+        # A next state without a value costs one target pass; one valued since the last sync
         # costs none and keeps its bits; a sync makes every state cost a pass again.
-        passes = StackedPasses(monkeypatch)
+        passes = TargetPasses(monkeypatch)
         rng = np.random.default_rng(12)
         net = Mlp((3, 8, 4), rng)
         net.target[:] = net.params
@@ -652,7 +652,7 @@ class TestUpdate:
     def test_table_targets_match_the_batch_pass_at_batch_64(self):
         # The SMALL instance's net at its batch size: transitions over 150 states, a 200-row
         # buffer that wraps, a sync every 50 pushes.  Every update's loss and parameter bytes
-        # must equal the update whose targets come from the batch's own stacked pass.
+        # must equal the update whose targets come from a target pass over the batch's own rows.
         rng = np.random.default_rng(14)
         inputs = rng.random((150, 6))
         net = Mlp((6, 64, 64, 7), rng)
@@ -829,9 +829,11 @@ class TestTraining:
         # A sync after every step leaves the target row a copy of the trained online row.
         net, _ = train(tiny_scenario, replace(tiny_cfg.dqn, target_sync=1))
         assert net.target.tobytes() == net.params.tobytes()
-        pair = net.forward(np.ones((2, net.layer_sizes[0])))
-        both = net._activations(np.ones((2, 2, net.layer_sizes[0])))[-1]
-        assert both[0].tobytes() == both[1].tobytes() == pair.tobytes()
+        x = np.ones((2, net.layer_sizes[0]))
+        loaded = Mlp(net.layer_sizes)
+        loaded.params[:] = net.target
+        target = net._activations(x, target=True)[-1]
+        assert target.tobytes() == loaded.forward(x).tobytes() == net.forward(x).tobytes()
 
     def test_target_holds_until_a_sync(self, tiny_scenario, tiny_cfg):
         # 12 steps, none of them a sync: the target row stays the initial net.
@@ -851,16 +853,16 @@ class TestTraining:
 
     def test_states_are_valued_once_per_sync(self, tiny_scenario, tiny_cfg, monkeypatch):
         # 12 steps at batch 4 make 9 updates.  A sync after every step leaves every next state
-        # without a value, so each update runs one stacked pass.  With no sync, a pass runs only
+        # without a value, so each update runs one target pass.  With no sync, a pass runs only
         # for a next state no earlier pass valued.
-        passes = StackedPasses(monkeypatch)
+        passes = TargetPasses(monkeypatch)
         train(tiny_scenario, replace(tiny_cfg.dqn, target_sync=1))
         assert len(passes) == 9
         passes.inputs.clear()
         train(tiny_scenario, replace(tiny_cfg.dqn, target_sync=13))
         valued = set()
-        for pair in passes.inputs:
-            rows = {row.tobytes() for row in pair[1]}
+        for gathered in passes.inputs:
+            rows = {row.tobytes() for row in gathered}
             assert rows - valued
             valued |= rows
         assert 0 < len(passes) < 9
